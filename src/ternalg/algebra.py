@@ -11,9 +11,12 @@ reported with its 1-based basis index tuple.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .linalg import (
     Matrix,
     SparseVec,
+    drop_zeros,
     mat_apply,
     mat_column,
     mat_columns,
@@ -23,12 +26,19 @@ from .linalg import (
     mat_mul,
     vec_add_into,
 )
-from .report import DEFAULT_MAX_VIOLATIONS, LawReport, Report
+from .report import (
+    DEFAULT_MAX_VIOLATIONS,
+    VECTOR,
+    LawReport,
+    Report,
+    check_laws,
+    difference,
+    mode_laws,
+    mode_residuals,
+)
 from .scalars import ONE as _ONE, ZERO as _ZERO
 
 MuTensor = dict  # dict[tuple[int, int, int], SparseVec]
-
-MODES = ("total", "partial", "weak")
 
 
 class PreconditionNotClassical(ValueError):
@@ -43,20 +53,11 @@ class NotEndomorphism(ValueError):
         super().__init__(f"map is not multiplicative on basis triple {triple}")
 
 
-def _clean_tensor(mu: MuTensor) -> MuTensor:
-    out: MuTensor = {}
-    for key, vec in mu.items():
-        nz = {l: c for l, c in vec.items() if c}
-        if nz:
-            out[key] = nz
-    return out
-
-
 class TernaryHomAlgebra:
     def __init__(self, dim: int, mu: MuTensor, alpha1: Matrix, alpha2: Matrix,
                  radicand: int = 1):
         self.dim = dim
-        self.mu = _clean_tensor(mu)
+        self.mu = drop_zeros(mu)
         self.alpha1 = alpha1
         self.alpha2 = alpha2
         self.radicand = radicand
@@ -98,7 +99,8 @@ class TernaryHomAlgebra:
 
     # -- associativity --------------------------------------------------
 
-    def _assoc_terms(self, i1, i2, i3, i4, i5):
+    def _assoc_terms(self, idx):
+        i1, i2, i3, i4, i5 = idx
         a1 = self._alpha1_cols
         a2 = self._alpha2_cols
         t1 = self.mu_vec(self.mu_basis(i1, i2, i3), a1[i4], a2[i5])
@@ -108,45 +110,11 @@ class TernaryHomAlgebra:
 
     def check_associativity(self, mode: str = "total",
                             max_violations: int = DEFAULT_MAX_VIOLATIONS) -> Report:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-        report = Report()
-        if mode == "total":
-            laws = [LawReport("assoc:total:1-2", "qt1a"),
-                    LawReport("assoc:total:2-3", "qt1b")]
-        elif mode == "partial":
-            laws = [LawReport("assoc:partial", "qp1")]
-        else:
-            laws = [LawReport("assoc:weak", "qw1")]
-        for lr in laws:
-            report.add(lr)
-        n = self.dim
-        open_laws = set(range(len(laws)))
-        for i1 in range(n):
-            for i2 in range(n):
-                for i3 in range(n):
-                    for i4 in range(n):
-                        for i5 in range(n):
-                            t1, t2, t3 = self._assoc_terms(i1, i2, i3, i4, i5)
-                            idx = (i1 + 1, i2 + 1, i3 + 1, i4 + 1, i5 + 1)
-                            if mode == "total":
-                                residuals = [_diff(t1, t2), _diff(t2, t3)]
-                            elif mode == "partial":
-                                acc: SparseVec = dict(t1)
-                                vec_add_into(acc, t2)
-                                vec_add_into(acc, t3)
-                                residuals = [acc]
-                            else:
-                                residuals = [_diff(t1, t3)]
-                            for li in list(open_laws):
-                                res = residuals[li]
-                                if res:
-                                    if not laws[li].record(idx, _vec_str(res),
-                                                           max_violations):
-                                        open_laws.discard(li)
-                            if not open_laws:
-                                return report
-        return report
+        laws = mode_laws("assoc", ("qt1a", "qt1b", "qp1", "qw1"), mode)
+        check_laws(laws, mode_residuals(mode, VECTOR),
+                   product(range(self.dim), repeat=5), self._assoc_terms,
+                   _vec_str, max_violations)
+        return Report(laws)
 
     # -- multiplicativity of the twists ---------------------------------
 
@@ -157,22 +125,20 @@ class TernaryHomAlgebra:
                                ("multiplicative:alpha2", "mult2", self.alpha2)):
             lr = LawReport(name, tag)
             report.add(lr)
-            _endomorphism_defect(self, mat, lr, max_violations)
+            _product_defects(mat, self, self, lr, max_violations)
         return report
 
     def multiplication_operators(self, x: SparseVec, y: SparseVec
                                  ) -> tuple[Matrix, Matrix, Matrix]:
         """Matrices of z -> mu(x,y,z), z -> mu(z,x,y), z -> mu(x,z,y)."""
+        return tuple(self.operator_matrix(op, x, y)
+                     for op in (self.op_L, self.op_R, self.op_M))
+
+    def operator_matrix(self, op, x: SparseVec, y: SparseVec) -> Matrix:
+        """Matrix of z -> op(x, y, z) for one of op_L, op_R, op_M."""
         n = self.dim
-        basis = [{j: _ONE} for j in range(n)]
-        ops = []
-        for evaluate in (lambda z: self.mu_vec(x, y, z),
-                         lambda z: self.mu_vec(z, x, y),
-                         lambda z: self.mu_vec(x, z, y)):
-            cols = [evaluate(b) for b in basis]
-            ops.append([[cols[j].get(i, _ZERO) for j in range(n)]
-                        for i in range(n)])
-        return tuple(ops)
+        cols = [op(x, y, {j: _ONE}) for j in range(n)]
+        return [[cols[j].get(i, _ZERO) for j in range(n)] for i in range(n)]
 
     # -- constructions --------------------------------------------------
 
@@ -181,9 +147,10 @@ class TernaryHomAlgebra:
         if not self.is_classical():
             raise PreconditionNotClassical(
                 "Yau twist requires identity twist maps on the input")
-        bad = _first_endomorphism_defect(self, rho)
-        if bad is not None:
-            raise NotEndomorphism(bad)
+        probe = LawReport("endomorphism", "endo")
+        _product_defects(rho, self, self, probe, 1)
+        if probe.violations:
+            raise NotEndomorphism(probe.violations[0].index)
         mu_new: MuTensor = {}
         for key, vec in self.mu.items():
             mu_new[key] = mat_apply(rho, vec)
@@ -196,53 +163,42 @@ class TernaryHomAlgebra:
         return TernaryHomAlgebra(self.dim, mu_new, rho, rho, rad)
 
 
-def _diff(a: SparseVec, b: SparseVec) -> SparseVec:
-    out = dict(a)
-    for i, v in b.items():
-        s = out.get(i)
-        if s is None:
-            out[i] = -v
-        else:
-            s = s - v
-            if s:
-                out[i] = s
-            else:
-                del out[i]
-    return out
-
-
 def _vec_str(vec: SparseVec) -> str:
     parts = [f"e{i + 1}: {vec[i]}" for i in sorted(vec)]
     return "{" + ", ".join(parts) + "}"
 
 
-def _first_endomorphism_defect(alg: TernaryHomAlgebra, mat: Matrix):
-    """First basis triple where mat fails to respect the product, or None."""
-    cols = mat_columns(mat)
-    n = alg.dim
-    for r in range(n):
-        for s in range(n):
-            for t in range(n):
-                lhs = mat_apply(mat, alg.mu_basis(r, s, t))
-                rhs = alg.mu_vec(cols[r], cols[s], cols[t])
-                if lhs != rhs:
-                    return (r + 1, s + 1, t + 1)
-    return None
+def _product_defects(f: Matrix, a: TernaryHomAlgebra, b: TernaryHomAlgebra,
+                     lr: LawReport, cap: int) -> None:
+    """f mu_a(e_r, e_s, e_t) - mu_b(f e_r, f e_s, f e_t) over basis triples."""
+    cols = mat_columns(f)
+
+    def members(key):
+        r, s, t = key
+        return (mat_apply(f, a.mu_basis(r, s, t)),
+                b.mu_vec(cols[r], cols[s], cols[t]))
+
+    check_laws([lr], [difference], product(range(a.dim), repeat=3), members,
+               _vec_str, cap)
 
 
-def _endomorphism_defect(alg: TernaryHomAlgebra, mat: Matrix, lr: LawReport,
-                         cap: int) -> None:
-    cols = mat_columns(mat)
-    n = alg.dim
-    for r in range(n):
-        for s in range(n):
-            for t in range(n):
-                lhs = mat_apply(mat, alg.mu_basis(r, s, t))
-                rhs = alg.mu_vec(cols[r], cols[s], cols[t])
-                res = _diff(lhs, rhs)
-                if res:
-                    if not lr.record((r + 1, s + 1, t + 1), _vec_str(res), cap):
-                        return
+def twist_intertwining(f: Matrix, a, b, kind: str, tag: str,
+                       cap: int) -> list[LawReport]:
+    """f a.alpha_k - b.alpha_k f column by column, for k = 1, 2.
+
+    ``a`` and ``b`` are algebras or coalgebras; the laws are named
+    ``{kind}:twist1`` and ``{kind}:twist2`` and tagged ``{tag}2``,
+    ``{tag}3``.
+    """
+    laws = []
+    for k, am, bm in ((1, a.alpha1, b.alpha1), (2, a.alpha2, b.alpha2)):
+        lr = LawReport(f"{kind}:twist{k}", f"{tag}{k + 1}")
+        laws.append(lr)
+        lhs, rhs = mat_mul(f, am), mat_mul(bm, f)
+        check_laws([lr], [difference], product(range(len(f))),
+                   lambda j: (mat_column(lhs, j[0]), mat_column(rhs, j[0])),
+                   _vec_str, cap)
+    return laws
 
 
 def check_algebra_morphism(f: Matrix, a: TernaryHomAlgebra, b: TernaryHomAlgebra,
@@ -250,37 +206,10 @@ def check_algebra_morphism(f: Matrix, a: TernaryHomAlgebra, b: TernaryHomAlgebra
     """f respects products and intertwines the twists of a and b."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    report = Report()
     prod = LawReport("morphism:product", "mor1")
-    report.add(prod)
-    cols = mat_columns(f)
-    n = a.dim
-    done = False
-    for r in range(n):
-        for s in range(n):
-            for t in range(n):
-                lhs = mat_apply(f, a.mu_basis(r, s, t))
-                rhs = b.mu_vec(cols[r], cols[s], cols[t])
-                res = _diff(lhs, rhs)
-                if res and not prod.record((r + 1, s + 1, t + 1),
-                                           _vec_str(res), max_violations):
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    for name, tag, am, bm in (("morphism:twist1", "mor2", a.alpha1, b.alpha1),
-                              ("morphism:twist2", "mor3", a.alpha2, b.alpha2)):
-        lr = LawReport(name, tag)
-        report.add(lr)
-        lhs = mat_mul(f, am)
-        rhs = mat_mul(bm, f)
-        for j in range(n):
-            res = _diff(mat_column(lhs, j), mat_column(rhs, j))
-            if res and not lr.record((j + 1,), _vec_str(res), max_violations):
-                break
-    return report
+    _product_defects(f, a, b, prod, max_violations)
+    return Report([prod] + twist_intertwining(f, a, b, "morphism", "mor",
+                                              max_violations))
 
 
 def is_algebra_isomorphism(f: Matrix, a: TernaryHomAlgebra,

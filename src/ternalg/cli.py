@@ -1,8 +1,7 @@
 """Command-line verification and construction tool.
 
 Exit codes: 0 all selected laws pass, 1 at least one violation,
-2 input or usage error.  TERNALG_THREADS caps how many independent law
-checkers run concurrently when several are selected (0 or 1 = sequential).
+2 input or usage error.
 """
 
 from __future__ import annotations
@@ -10,9 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .algebra import NotEndomorphism, TernaryHomAlgebra
@@ -47,14 +44,6 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("TERNALG_THREADS", "0")
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        return 0
-
-
 def _applicable_laws(obj) -> list[str]:
     if isinstance(obj, TernaryHomAlgebra):
         return ["assoc", "multiplicative"]
@@ -69,39 +58,37 @@ def _applicable_laws(obj) -> list[str]:
     return []
 
 
-def _law_runner(obj, law, mode, level, full):
+def _check_law(obj, law, mode, level, full) -> Report:
     if law == "assoc":
         alg = obj.algebra if isinstance(obj, ModuleBundle) else \
             obj.alg if isinstance(obj, TernaryBialgebra) else obj
-        return lambda: alg.check_associativity(mode)
+        return alg.check_associativity(mode)
     if law == "coassoc":
         co = obj.coalg if isinstance(obj, TernaryBialgebra) else obj
-        return lambda: co.check_coassociativity(mode)
+        return co.check_coassociativity(mode)
     if law == "multiplicative":
         if isinstance(obj, TernaryBialgebra):
-            def both():
-                rep = obj.alg.check_multiplicativity()
-                rep.extend(obj.coalg.check_comultiplicativity())
-                return rep
-            return both
+            rep = obj.alg.check_multiplicativity()
+            rep.extend(obj.coalg.check_comultiplicativity())
+            return rep
         if isinstance(obj, ModuleBundle):
-            return obj.algebra.check_multiplicativity
+            return obj.algebra.check_multiplicativity()
         if isinstance(obj, TernaryHomCoalgebra):
-            return obj.check_comultiplicativity
-        return obj.check_multiplicativity
+            return obj.check_comultiplicativity()
+        return obj.check_multiplicativity()
     if law == "compat":
-        return lambda: check_compatibility(obj)
+        return check_compatibility(obj)
     if law == "bialgebra":
-        return lambda: check_bialgebra(obj, mode)
+        return check_bialgebra(obj, mode)
     if law == "trimodule":
         if mode == "weak":
             raise UsageError("trimodule laws have no weak mode")
-        return lambda: check_trimodule(obj.algebra, obj.module, obj.actions,
-                                       mode, level)
+        return check_trimodule(obj.algebra, obj.module, obj.actions, mode,
+                               level)
     if law == "matchedpair":
         if mode == "weak":
             raise UsageError("matched-pair laws have no weak mode")
-        return lambda: check_matched_pair(obj, mode, full)
+        return check_matched_pair(obj, mode, full)
     raise UsageError(f"unknown law {law!r}")
 
 
@@ -120,17 +107,9 @@ def cmd_check(args) -> int:
             raise UsageError(
                 f"law {law!r} does not apply to this file kind")
     level = "full" if args.full else "quasi"
-    runners = [_law_runner(obj, law, args.mode, level, args.full)
-               for law in selected]
-    cap = _thread_cap()
     report = Report()
-    if cap > 1 and len(runners) > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            for sub in pool.map(lambda r: r(), runners):
-                report.extend(sub)
-    else:
-        for run in runners:
-            report.extend(run())
+    for law in selected:
+        report.extend(_check_law(obj, law, args.mode, level, args.full))
 
     if args.json:
         doc = {
@@ -224,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("total", "partial", "weak"),
                    default="total")
     p.add_argument("--law", choices=LAWS, default="all")
-    p.add_argument("--quasi", action="store_true",
-                   help="core trimodule equations only (the default)")
     p.add_argument("--full", action="store_true",
                    help="include braiding and intertwining extras")
     p.add_argument("--json", action="store_true",

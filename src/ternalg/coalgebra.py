@@ -14,64 +14,42 @@ is reported, never reconciled.
 
 from __future__ import annotations
 
-import itertools
+from functools import lru_cache
 
+from .algebra import twist_intertwining
 from .linalg import (
     Matrix,
     SparseVec,
-    mat_apply,
+    drop_zeros,
     mat_column,
     mat_columns,
+    mat_identity,
     mat_invertible,
-    mat_mul,
+    vec_add_at,
+    vec_sub,
 )
-from .report import DEFAULT_MAX_VIOLATIONS, LawReport, Report
-from .scalars import ONE, ZERO
+from .report import (
+    DEFAULT_MAX_VIOLATIONS,
+    SCALAR,
+    LawReport,
+    Report,
+    check_laws,
+    itself,
+    mode_laws,
+    mode_residuals,
+)
+from .scalars import ZERO
 
 DeltaTensor = dict  # dict[int, dict[tuple[int, int, int], QuadScalar]]
 Tensor3 = dict  # dict[tuple[int, int, int], QuadScalar]
 Tensor5 = dict  # dict[tuple[int, ...], QuadScalar]
-
-MODES = ("total", "partial", "weak")
-
-
-def _clean_delta(delta: DeltaTensor) -> DeltaTensor:
-    out: DeltaTensor = {}
-    for l, tens in delta.items():
-        nz = {key: c for key, c in tens.items() if c}
-        if nz:
-            out[l] = nz
-    return out
-
-
-def _t5_add(acc: Tensor5, key: tuple, coeff) -> None:
-    s = acc.get(key, ZERO) + coeff
-    if s:
-        acc[key] = s
-    else:
-        acc.pop(key, None)
-
-
-def _t5_diff(a: Tensor5, b: Tensor5) -> Tensor5:
-    out = dict(a)
-    for key, v in b.items():
-        _t5_add(out, key, -v)
-    return out
-
-
-def _t5_str(t: Tensor5) -> str:
-    parts = []
-    for key in sorted(t):
-        basis = "*".join(f"e{i + 1}" for i in key)
-        parts.append(f"{basis}: {t[key]}")
-    return "{" + ", ".join(parts) + "}"
 
 
 class TernaryHomCoalgebra:
     def __init__(self, dim: int, delta: DeltaTensor, alpha1: Matrix,
                  alpha2: Matrix, radicand: int = 1):
         self.dim = dim
-        self.delta = _clean_delta(delta)
+        self.delta = drop_zeros(delta)
         self.alpha1 = alpha1
         self.alpha2 = alpha2
         self.radicand = radicand
@@ -85,7 +63,7 @@ class TernaryHomCoalgebra:
         out: Tensor3 = {}
         for l, coeff in v.items():
             for key, c in self.delta_basis(l).items():
-                _t5_add(out, key, coeff * c)
+                vec_add_at(out, key, coeff * c)
         return out
 
     # -- coassociativity -------------------------------------------------
@@ -101,56 +79,30 @@ class TernaryHomCoalgebra:
             for (i, j, k), ci in self.delta_basis(r).items():
                 for q, yq in a1[s].items():
                     for p, yp in a2[t].items():
-                        _t5_add(u1, (i, j, k, q, p), c * ci * yq * yp)
+                        vec_add_at(u1, (i, j, k, q, p), c * ci * yq * yp)
             for (i, j, k), ci in self.delta_basis(s).items():
                 for q, yq in a1[r].items():
                     for p, yp in a2[t].items():
-                        _t5_add(u2, (q, i, j, k, p), c * ci * yq * yp)
+                        vec_add_at(u2, (q, i, j, k, p), c * ci * yq * yp)
             for (i, j, k), ci in self.delta_basis(t).items():
                 for q, yq in a1[r].items():
                     for p, yp in a2[s].items():
-                        _t5_add(u3, (q, p, i, j, k), c * ci * yq * yp)
+                        vec_add_at(u3, (q, p, i, j, k), c * ci * yq * yp)
         return u1, u2, u3
 
     def check_coassociativity(self, mode: str = "total",
                               max_violations: int = DEFAULT_MAX_VIOLATIONS
                               ) -> Report:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-        report = Report()
-        if mode == "total":
-            laws = [LawReport("coassoc:total:1-2", "ct1a"),
-                    LawReport("coassoc:total:2-3", "ct1b")]
-        elif mode == "partial":
-            laws = [LawReport("coassoc:partial", "cq1")]
-        else:
-            laws = [LawReport("coassoc:weak", "cw1")]
-        for lr in laws:
-            report.add(lr)
-        open_laws = set(range(len(laws)))
-        for l in range(self.dim):
-            u1, u2, u3 = self._patterns(l)
-            if mode == "total":
-                residuals = [_t5_diff(u1, u2), _t5_diff(u2, u3)]
-            elif mode == "partial":
-                acc: Tensor5 = dict(u1)
-                for key, v in u2.items():
-                    _t5_add(acc, key, v)
-                for key, v in u3.items():
-                    _t5_add(acc, key, v)
-                residuals = [acc]
-            else:
-                residuals = [_t5_diff(u1, u3)]
-            for li in list(open_laws):
-                res = residuals[li]
-                for key in sorted(res):
-                    idx = (l + 1,) + tuple(i + 1 for i in key)
-                    if not laws[li].record(idx, str(res[key]), max_violations):
-                        open_laws.discard(li)
-                        break
-            if not open_laws:
-                break
-        return report
+        laws = mode_laws("coassoc", ("ct1a", "ct1b", "cq1", "cw1"), mode)
+        patterns = lru_cache(maxsize=1)(self._patterns)
+        # (l, i, j, k, q, p) wherever one of the three patterns is nonzero
+        indices = ((l,) + key for l in range(self.dim)
+                   for key in sorted(set().union(*patterns(l))))
+        check_laws(laws, mode_residuals(mode, SCALAR), indices,
+                   lambda idx: tuple(u.get(idx[1:], ZERO)
+                                     for u in patterns(idx[0])),
+                   str, max_violations)
+        return Report(laws)
 
     # -- comultiplicativity ----------------------------------------------
 
@@ -177,18 +129,7 @@ class TernaryHomCoalgebra:
         (l; i, j, k, q, p).  A pass here therefore implies a map-level
         pass; the converse fails when terms cancel only across s or t.
         """
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-        report = Report()
-        if mode == "total":
-            laws = [LawReport("structure:total:1-2", "q3a"),
-                    LawReport("structure:total:2-3", "q3b")]
-        elif mode == "partial":
-            laws = [LawReport("structure:partial", "q2")]
-        else:
-            laws = [LawReport("structure:weak", "q4")]
-        for lr in laws:
-            report.add(lr)
+        laws = mode_laws("structure", ("q3a", "q3b", "q2", "q4"), mode)
         n = self.dim
         a1 = self.alpha1
         a2 = self.alpha2
@@ -196,14 +137,6 @@ class TernaryHomCoalgebra:
         # accumulate each term sparsely over the nonzero coproduct entries;
         # every tuple where all three terms vanish satisfies every variant
         terms = ({}, {}, {})
-
-        def add(which, key, value):
-            acc = terms[which]
-            total = acc.get(key, ZERO) + value
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
 
         for l, tens in self.delta.items():
             for (r, s, t), c_lrst in tens.items():
@@ -213,7 +146,7 @@ class TernaryHomCoalgebra:
                             continue
                         for p in range(n):
                             if a2[p][t]:
-                                add(0, (i, j, k, s, t, l, p, q),
+                                vec_add_at(terms[0], (i, j, k, s, t, l, p, q),
                                     c_lrst * inner * a1[q][s] * a2[p][t])
                 for (j, k, q), inner in self.delta.get(s, {}).items():
                     for i in range(n):
@@ -221,7 +154,7 @@ class TernaryHomCoalgebra:
                             continue
                         for p in range(n):
                             if a2[p][t]:
-                                add(1, (i, j, k, s, t, l, p, q),
+                                vec_add_at(terms[1], (i, j, k, s, t, l, p, q),
                                     c_lrst * inner * a1[i][r] * a2[p][t])
                 for (k, q, p), inner in self.delta.get(t, {}).items():
                     for i in range(n):
@@ -229,30 +162,14 @@ class TernaryHomCoalgebra:
                             continue
                         for j in range(n):
                             if a2[j][s]:
-                                add(2, (i, j, k, s, t, l, p, q),
+                                vec_add_at(terms[2], (i, j, k, s, t, l, p, q),
                                     c_lrst * inner * a1[i][r] * a2[j][s])
 
-        open_laws = set(range(len(laws)))
-        keys = sorted(set().union(*terms))
-        for key in keys:
-            term1 = terms[0].get(key, ZERO)
-            term2 = terms[1].get(key, ZERO)
-            term3 = terms[2].get(key, ZERO)
-            idx = tuple(x + 1 for x in key)
-            if mode == "total":
-                residuals = [term1 - term2, term2 - term3]
-            elif mode == "partial":
-                residuals = [term1 + term2 + term3]
-            else:
-                residuals = [term1 - term3]
-            for li in list(open_laws):
-                res = residuals[li]
-                if res:
-                    if not laws[li].record(idx, str(res), max_violations):
-                        open_laws.discard(li)
-            if not open_laws:
-                break
-        return report
+        check_laws(laws, mode_residuals(mode, SCALAR),
+                   sorted(set().union(*terms)),
+                   lambda key: tuple(t.get(key, ZERO) for t in terms),
+                   str, max_violations)
+        return Report(laws)
 
 
 def check_coalgebra_morphism(f: Matrix, c1: TernaryHomCoalgebra,
@@ -262,32 +179,10 @@ def check_coalgebra_morphism(f: Matrix, c1: TernaryHomCoalgebra,
     """(f x f x f) Delta1 = Delta2 f, plus twist intertwining."""
     if c1.dim != c2.dim:
         raise ValueError("dimension mismatch")
-    report = Report()
     lr = LawReport("comorphism:coproduct", "comor1")
-    report.add(lr)
     _comorphism_defects(c1, f, c2, lr, max_violations)
-    n = c1.dim
-    for name, tag, am, bm in (("comorphism:twist1", "comor2", c1.alpha1, c2.alpha1),
-                              ("comorphism:twist2", "comor3", c1.alpha2, c2.alpha2)):
-        tw = LawReport(name, tag)
-        report.add(tw)
-        lhs = mat_mul(f, am)
-        rhs = mat_mul(bm, f)
-        for jj in range(n):
-            col_l = mat_column(lhs, jj)
-            col_r = mat_column(rhs, jj)
-            if col_l != col_r:
-                diff = dict(col_l)
-                for ii, v in col_r.items():
-                    s = diff.get(ii, ZERO) - v
-                    if s:
-                        diff[ii] = s
-                    else:
-                        diff.pop(ii, None)
-                parts = ", ".join(f"e{ii + 1}: {diff[ii]}" for ii in sorted(diff))
-                if not tw.record((jj + 1,), "{" + parts + "}", max_violations):
-                    break
-    return report
+    return Report([lr] + twist_intertwining(f, c1, c2, "comorphism", "comor",
+                                            max_violations))
 
 
 def is_coalgebra_isomorphism(f: Matrix, c1: TernaryHomCoalgebra,
@@ -305,25 +200,24 @@ def tensor3_map(f1: Matrix, f2: Matrix, f3: Matrix, t: Tensor3) -> Tensor3:
             for j, v2 in cols2[s].items():
                 cv = c * v1 * v2
                 for k, v3 in cols3[tt].items():
-                    _t5_add(out, (i, j, k), cv * v3)
+                    vec_add_at(out, (i, j, k), cv * v3)
     return out
 
 
 def _comorphism_defects(src: TernaryHomCoalgebra, f: Matrix,
                         dst: TernaryHomCoalgebra, lr: LawReport, cap: int) -> None:
-    for l in range(src.dim):
-        lhs = tensor3_map(f, f, f, src.delta_basis(l))
-        rhs = dst.delta_vec(mat_apply(f, {l: ONE}))
-        res = _t5_diff(lhs, rhs)
-        for key in sorted(res):
-            idx = (l + 1,) + tuple(i + 1 for i in key)
-            if not lr.record(idx, str(res[key]), cap):
-                return
+    """(f x f x f) Delta_src(e_l) - Delta_dst(f e_l), entry by entry."""
+    @lru_cache(maxsize=1)
+    def residual(l):
+        return vec_sub(tensor3_map(f, f, f, src.delta_basis(l)),
+                       dst.delta_vec(mat_column(f, l)))
+
+    indices = ((l,) + key for l in range(src.dim) for key in sorted(residual(l)))
+    check_laws([lr], [itself], indices, lambda idx: residual(idx[0])[idx[1:]],
+               str, cap)
 
 
 def classical_coalgebra(dim: int, delta: DeltaTensor,
                         radicand: int = 1) -> TernaryHomCoalgebra:
-    from .linalg import mat_identity
-
     ident = mat_identity(dim)
     return TernaryHomCoalgebra(dim, delta, ident, ident, radicand)

@@ -4,7 +4,8 @@ Matrices are lists of rows of ``QuadScalar``.  Column ``j`` holds the image
 of the j-th basis vector, so ``entry(k, j)`` is the coefficient of ``e_k``
 in the image of ``e_j``.  Indices are 0-based throughout this module.
 
-Vectors are sparse dicts ``{index: scalar}`` that never store zeros.
+Vectors are sparse dicts ``{index: scalar}`` that never store zeros; the
+``vec_*`` helpers also serve tensors keyed by index tuples.
 """
 
 from __future__ import annotations
@@ -34,14 +35,52 @@ def vec_add_into(acc: SparseVec, vec: SparseVec, coeff: QuadScalar = ONE) -> Non
             acc.pop(i, None)
 
 
-def vec_scale(vec: SparseVec, coeff: QuadScalar) -> SparseVec:
-    if not coeff:
+def vec_add_at(acc: SparseVec, key, value: QuadScalar) -> None:
+    """acc[key] += value, dropping the entry if it cancels to zero."""
+    old = acc.get(key)
+    if old is not None:
+        value = old + value
+    if value:
+        acc[key] = value
+    elif old is not None:
+        del acc[key]
+
+
+def vec_sum(vecs) -> SparseVec:
+    """The sum of sparse vectors, none of them scaled."""
+    out: SparseVec = {}
+    for vec in vecs:
+        for key, value in vec.items():
+            vec_add_at(out, key, value)
+    return out
+
+
+def vec_sub(a: SparseVec, b: SparseVec) -> SparseVec:
+    """a - b as a new sparse vector."""
+    if a == b:
         return {}
-    return {i: coeff * v for i, v in vec.items()}
+    out = dict(a)
+    for key, value in b.items():
+        old = out.get(key)
+        if old is None:
+            out[key] = -value
+        else:
+            old = old - value
+            if old:
+                out[key] = old
+            else:
+                del out[key]
+    return out
 
 
-def vec_equal(a: SparseVec, b: SparseVec) -> bool:
-    return a == b
+def drop_zeros(tensor: dict) -> dict:
+    """A dict of sparse vectors without its zero entries and empty vectors."""
+    out = {}
+    for key, vec in tensor.items():
+        nz = {i: c for i, c in vec.items() if c}
+        if nz:
+            out[key] = nz
+    return out
 
 
 # -- dense matrices -----------------------------------------------------
@@ -76,6 +115,13 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             row.append(s)
         out.append(row)
     return out
+
+
+def mat_block_diag(top: Matrix, bottom: Matrix) -> Matrix:
+    """The block-diagonal matrix with ``top`` above and left of ``bottom``."""
+    n, m = len(top), len(bottom)
+    return ([list(row) + [ZERO] * m for row in top]
+            + [[ZERO] * n + list(row) for row in bottom])
 
 
 def mat_transpose(a: Matrix) -> Matrix:

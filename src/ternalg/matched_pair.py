@@ -12,14 +12,29 @@ bicrossed product below is the independent oracle for that transcription.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import product
 
 from .algebra import MuTensor, TernaryHomAlgebra
-from .linalg import Matrix, mat_apply
-from .report import DEFAULT_MAX_VIOLATIONS, LawReport, Report
-from .scalars import ONE, ZERO
-from .trimodule import BihomModule, TrimoduleActions, _vdiff, _vstr, check_trimodule
+from .linalg import mat_apply, mat_block_diag, vec_add_at
+from .report import (
+    DEFAULT_MAX_VIOLATIONS,
+    VECTOR,
+    LawReport,
+    Report,
+    check_laws,
+    check_mode,
+    mode_residuals,
+)
+from .scalars import ONE
+from .trimodule import (
+    BihomModule,
+    TrimoduleActions,
+    _vstr,
+    braiding_laws,
+    check_trimodule,
+    intertwining_laws,
+)
 
 
 @dataclass
@@ -133,8 +148,7 @@ def _conditions(mp: MatchedPairData):
 def check_matched_pair(mp: MatchedPairData, mode: str = "total",
                        full: bool = False,
                        max_violations: int = DEFAULT_MAX_VIOLATIONS) -> Report:
-    if mode not in ("total", "partial"):
-        raise ValueError(f"unknown mode {mode!r}")
+    check_mode(mode, ("total", "partial"))
     report = Report()
 
     # prerequisite: each action triple is a quasi-trimodule over its algebra
@@ -148,97 +162,34 @@ def check_matched_pair(mp: MatchedPairData, mode: str = "total",
             lr.law = f"matchedpair.prereq.{label}.{lr.law}"
             report.add(lr)
 
-    n, m = mp.A.dim, mp.B.dim
-    ea = [{i: ONE} for i in range(n)]
-    eb = [{i: ONE} for i in range(m)]
+    ea = [{i: ONE} for i in range(mp.A.dim)]
+    eb = [{i: ONE} for i in range(mp.B.dim)]
     prefix = "mp" if mode == "total" else "pp"
+    residual = mode_residuals(mode, VECTOR, chained=True)
     for num, pattern, members in _conditions(mp):
         lr = LawReport(f"matchedpair.{mode}.{prefix}{num}", f"{prefix}{num}")
         report.add(lr)
-        ranges = [range(n) if ch == "A" else range(m) for ch in pattern]
-        for idx in itertools.product(*ranges):
-            args = [ea[i] if ch == "A" else eb[i]
-                    for ch, i in zip(pattern, idx)]
-            t1, t2, t3 = members(*args)
-            if mode == "total":
-                res = _vdiff(t1, t2) or _vdiff(t2, t3)
-            else:
-                res = dict(t1)
-                for vec in (t2, t3):
-                    for i, v in vec.items():
-                        s = res.get(i, ZERO) + v
-                        if s:
-                            res[i] = s
-                        else:
-                            res.pop(i, None)
-            if res:
-                key = tuple(i + 1 for i in idx)
-                if not lr.record(key, _vstr(res), max_violations):
-                    break
+        bases = [ea if ch == "A" else eb for ch in pattern]
+        check_laws([lr], residual,
+                   product(*(range(len(basis)) for basis in bases)),
+                   lambda idx: members(*(basis[i]
+                                         for basis, i in zip(bases, idx))),
+                   _vstr, max_violations)
 
     if full:
-        _check_full_extras(mp, report, prefix, max_violations)
+        # the braiding and intertwining laws of both action triples
+        def laws(nums):
+            added = [LawReport(f"matchedpair.full.{prefix}{num}.i{k}",
+                               f"{prefix}{num}") for num in nums for k in (1, 2)]
+            report.laws.extend(added)
+            return added
+
+        cap = max_violations
+        braiding_laws(mp.A, modB, mp.actA, laws(["21"]), cap)
+        braiding_laws(mp.B, modA, mp.actB, laws(["22"]), cap)
+        intertwining_laws(mp.A, modB, mp.actA, laws(["23", "24", "25"]), cap)
+        intertwining_laws(mp.B, modA, mp.actB, laws(["26", "27", "28"]), cap)
     return report
-
-
-def _check_full_extras(mp: MatchedPairData, report: Report, prefix: str,
-                       cap: int) -> None:
-    """Braiding and intertwining extras of the full matched-pair notion."""
-    n, m = mp.A.dim, mp.B.dim
-    ea = [{i: ONE} for i in range(n)]
-    eb = [{i: ONE} for i in range(m)]
-    A1 = lambda v: mat_apply(mp.A.alpha1, v)
-    A2 = lambda v: mat_apply(mp.A.alpha2, v)
-    B1 = lambda v: mat_apply(mp.B.alpha1, v)
-    B2 = lambda v: mat_apply(mp.B.alpha2, v)
-
-    braids = [
-        ("21", mp.actA.op_M, mp.A.mu_vec, A1, A2, (B1, B2), n, m, ea, eb),
-        ("22", mp.actB.op_M, mp.B.mu_vec, B1, B2, (A1, A2), m, n, eb, ea),
-    ]
-    for num, M, mu, t1, t2, betas, na, nv, alg_basis, mod_basis in braids:
-        for bi, beta in enumerate(betas, start=1):
-            lr = LawReport(f"matchedpair.full.{prefix}{num}.i{bi}",
-                           f"{prefix}{num}")
-            report.add(lr)
-            for idx in itertools.product(range(na), repeat=6):
-                a, b, c, x, y, z = (alg_basis[i] for i in idx)
-                for w in range(nv):
-                    v = mod_basis[w]
-                    lhs = M(t1(a), t2(z),
-                            M(t1(b), t2(y), M(t1(c), t2(x), beta(v))))
-                    rhs = M(mu(t1(a), t1(b), t1(c)),
-                            mu(t2(x), t2(y), t2(z)), beta(v))
-                    res = _vdiff(lhs, rhs)
-                    if res:
-                        key = tuple(i + 1 for i in idx) + (w + 1,)
-                        if not lr.record(key, _vstr(res), cap):
-                            break
-                else:
-                    continue
-                break
-
-    intertwines = [
-        ("23", mp.actA.op_L, A1, A2, (B1, B2), n, m, ea, eb),
-        ("24", mp.actA.op_M, A1, A2, (B1, B2), n, m, ea, eb),
-        ("25", mp.actA.op_R, A1, A2, (B1, B2), n, m, ea, eb),
-        ("26", mp.actB.op_L, B1, B2, (A1, A2), m, n, eb, ea),
-        ("27", mp.actB.op_M, B1, B2, (A1, A2), m, n, eb, ea),
-        ("28", mp.actB.op_R, B1, B2, (A1, A2), m, n, eb, ea),
-    ]
-    for num, op, t1, t2, gammas, na, nv, alg_basis, mod_basis in intertwines:
-        for gi, gamma in enumerate(gammas, start=1):
-            lr = LawReport(f"matchedpair.full.{prefix}{num}.i{gi}",
-                           f"{prefix}{num}")
-            report.add(lr)
-            for ia, ib, iw in itertools.product(range(na), range(na),
-                                                range(nv)):
-                a, b, v = alg_basis[ia], alg_basis[ib], mod_basis[iw]
-                res = _vdiff(gamma(op(a, b, v)), op(t1(a), t2(b), gamma(v)))
-                if res:
-                    if not lr.record((ia + 1, ib + 1, iw + 1),
-                                     _vstr(res), cap):
-                        break
 
 
 def bicrossed_product(mp: MatchedPairData) -> TernaryHomAlgebra:
@@ -250,11 +201,7 @@ def bicrossed_product(mp: MatchedPairData) -> TernaryHomAlgebra:
         if out:
             vec = mu.setdefault(key, {})
             for i, c in out.items():
-                s = vec.get(offset + i, ZERO) + c
-                if s:
-                    vec[offset + i] = s
-                else:
-                    vec.pop(offset + i, None)
+                vec_add_at(vec, offset + i, c)
             if not vec:
                 del mu[key]
 
@@ -277,15 +224,7 @@ def bicrossed_product(mp: MatchedPairData) -> TernaryHomAlgebra:
     for (a, y, z), out in mp.actA.R.items():
         put((n + a, y, z), out, n)
 
-    def block(top: Matrix, bottom: Matrix) -> Matrix:
-        rows = []
-        for i in range(n):
-            rows.append(list(top[i]) + [ZERO] * m)
-        for i in range(m):
-            rows.append([ZERO] * n + list(bottom[i]))
-        return rows
-
     return TernaryHomAlgebra(n + m, mu,
-                             block(mp.A.alpha1, mp.B.alpha1),
-                             block(mp.A.alpha2, mp.B.alpha2),
+                             mat_block_diag(mp.A.alpha1, mp.B.alpha1),
+                             mat_block_diag(mp.A.alpha2, mp.B.alpha2),
                              mp.A.radicand)

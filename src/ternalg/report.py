@@ -1,15 +1,28 @@
-"""Structured verdicts produced by the law checkers.
+"""Structured verdicts produced by the law checkers, and the loop behind them.
 
 A checker evaluates a family of identities over all basis index tuples and
-records every nonzero residual, up to a per-law cap.  Reports aggregate one
-``LawReport`` per identity and expose a single ``passed`` flag.
+records every nonzero residual, up to a per-law cap.  ``check_laws`` is
+that loop for every family: the family supplies its index tuples, the
+members of its identity at each, how to combine them into a residual per
+mode, and how to render a residual.  Reports aggregate one ``LawReport``
+per identity and expose a single ``passed`` flag.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
+from .linalg import vec_sub, vec_sum
+
 DEFAULT_MAX_VIOLATIONS = 10
+
+MODES = ("total", "partial", "weak")
+
+# how to subtract two members and sum all three, for scalar members and
+# for sparse-vector members
+SCALAR = (operator.sub, lambda t: t[0] + t[1] + t[2])
+VECTOR = (vec_sub, vec_sum)
 
 
 @dataclass(frozen=True)
@@ -22,6 +35,13 @@ class Violation:
 
 @dataclass
 class LawReport:
+    """The violations of one identity, in index order.
+
+    ``truncated`` means the list may be incomplete: the checker saw one
+    more nonzero residual after the cap was reached, or stopped with index
+    tuples unexamined once every law it was checking had reached the cap.
+    """
+
     law: str
     tag: str
     violations: list[Violation] = field(default_factory=list)
@@ -30,15 +50,6 @@ class LawReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def record(self, index: tuple, residual, cap: int) -> bool:
-        """Record a violation; returns False once the cap is reached."""
-        if len(self.violations) < cap:
-            self.violations.append(Violation(index, str(residual)))
-        if len(self.violations) >= cap:
-            self.truncated = True
-            return False
-        return True
 
     def as_dict(self) -> dict:
         return {
@@ -75,3 +86,87 @@ class Report:
 
     def as_dict(self) -> dict:
         return {"passed": self.passed, "laws": [lr.as_dict() for lr in self.laws]}
+
+
+def check_mode(mode: str, modes=MODES) -> None:
+    if mode not in modes:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
+def mode_residuals(mode: str, arith, chained: bool = False) -> list:
+    """Residual functions, one per law, of an identity with members t1, t2, t3.
+
+    Total mode asserts t1 = t2 = t3: the two laws t1 - t2 and t2 - t3, or
+    one law when ``chained``, whose residual is t2 - t3 only where t1 - t2
+    vanishes.  Partial mode asserts t1 + t2 + t3 = 0, weak mode t1 = t3.
+    ``arith`` is ``SCALAR`` or ``VECTOR``, the kind of the members.
+    """
+    sub, total = arith
+    if mode == "total":
+        first = lambda t: sub(t[0], t[1])
+        second = lambda t: sub(t[1], t[2])
+        if chained:
+            return [lambda t: first(t) or second(t)]
+        return [first, second]
+    if mode == "partial":
+        return [total]
+    return [lambda t: sub(t[0], t[2])]
+
+
+def mode_laws(name: str, tags: tuple, mode: str) -> list[LawReport]:
+    """The laws of identity ``name`` in ``mode``, as ``mode_residuals`` splits it.
+
+    ``tags`` holds the tags of total 1-2, total 2-3, partial and weak.
+    """
+    check_mode(mode)
+    if mode == "total":
+        return [LawReport(f"{name}:total:1-2", tags[0]),
+                LawReport(f"{name}:total:2-3", tags[1])]
+    return [LawReport(f"{name}:{mode}", tags[2 if mode == "partial" else 3])]
+
+
+def difference(members):
+    """Residual of a two-member identity between sparse vectors."""
+    return vec_sub(*members)
+
+
+def itself(residual):
+    """Residual function of a family whose members are its residual."""
+    return residual
+
+
+def check_laws(laws: list[LawReport], residuals: list, indices, members,
+               fmt, cap: int) -> None:
+    """Record the first ``cap`` nonzero residuals of each law over ``indices``.
+
+    ``indices`` yields 0-based index tuples in order; ``members(index)``
+    gives the members of the identity there, and ``residuals[i]`` maps them
+    to the residual of ``laws[i]``, falsy where the law holds; ``fmt``
+    renders a residual, and runs only on the residuals recorded.  A law that
+    has reached the cap is still evaluated while another law is below it,
+    and is marked truncated on its next nonzero residual.  Once every law
+    has reached the cap the loop stops, and marks those laws truncated if
+    an index remains; the members there are not evaluated.
+    """
+    pending = list(zip(laws, residuals))
+    below_cap = len(pending) if cap > 0 else 0
+    for index in indices:
+        if not below_cap:
+            for lr, _ in pending:
+                lr.truncated = True
+            return
+        values = members(index)
+        for entry in pending:
+            lr, residual = entry
+            res = residual(values)
+            if not res:
+                continue
+            violations = lr.violations
+            if len(violations) < cap:
+                violations.append(
+                    Violation(tuple(i + 1 for i in index), fmt(res)))
+                if len(violations) == cap:
+                    below_cap -= 1
+            else:
+                lr.truncated = True
+                pending = [e for e in pending if e is not entry]

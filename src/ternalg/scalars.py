@@ -7,30 +7,21 @@ small square-free positive integer shared by all scalars of one structure;
 irrational part vanishes.
 
 The rational backend is selected once at import time: ``gmpy2.mpq`` when
-available (C-backed, noticeably faster on dense checks), otherwise
-``fractions.Fraction``.  Set ``TERNALG_PURE_PYTHON=1`` to force the
-pure-Python backend.
+it is importable, otherwise ``fractions.Fraction``; ``BACKEND`` names it.
 """
 
 from __future__ import annotations
 
-import os
 import re
-from typing import Union
 
-if os.environ.get("TERNALG_PURE_PYTHON"):
+try:
+    from gmpy2 import mpq as Rational
+
+    BACKEND = "gmpy2"
+except ImportError:
     from fractions import Fraction as Rational
 
     BACKEND = "fractions"
-else:
-    try:
-        from gmpy2 import mpq as Rational
-
-        BACKEND = "gmpy2"
-    except ImportError:  # pragma: no cover - exercised via env override
-        from fractions import Fraction as Rational
-
-        BACKEND = "fractions"
 
 _RAT_ZERO = Rational(0)
 _RAT_ONE = Rational(1)
@@ -115,9 +106,6 @@ class QuadScalar:
     def __bool__(self):
         return bool(self.rat) or bool(self.irr)
 
-    def is_zero(self) -> bool:
-        return not self
-
     def __eq__(self, other):
         if not isinstance(other, QuadScalar):
             return NotImplemented
@@ -137,15 +125,23 @@ ZERO = QuadScalar(0)
 ONE = QuadScalar(1)
 
 
-def from_int(n: int) -> QuadScalar:
-    return QuadScalar(n)
+MAX_RADICAND = 10 ** 9  # keeps the trial division below cheap
 
 
-IntLike = Union[int, QuadScalar]
+def square_free(k: int) -> tuple[int, int]:
+    """(root, rest) with k = root**2 * rest and rest square-free.
 
-
-def as_scalar(value: IntLike) -> QuadScalar:
-    return value if isinstance(value, QuadScalar) else QuadScalar(value)
+    Raises ScalarParseError unless 1 <= k <= MAX_RADICAND.
+    """
+    if not 1 <= k <= MAX_RADICAND:
+        raise ScalarParseError(f"radicand {k} is not in 1..{MAX_RADICAND}")
+    root, p = 1, 2
+    while p * p <= k:
+        while k % (p * p) == 0:
+            k //= p * p
+            root *= p
+        p += 1
+    return root, k
 
 
 # -- literal grammar ----------------------------------------------------
@@ -186,7 +182,11 @@ def _parse_term(text: str):
 
 
 def parse_scalar(text: str, radicand: int = 1) -> QuadScalar:
-    """Parse a scalar literal; sqrt radicands must match ``radicand``."""
+    """Parse a scalar literal; sqrt radicands must match ``radicand``.
+
+    ``sqrt(k)`` is reduced to its square-free part, so ``sqrt(8)`` reads as
+    ``2*sqrt(2)`` and ``sqrt(4)`` as ``2``.
+    """
     text = text.replace(" ", "")
     if not text:
         raise ScalarParseError("empty scalar")
@@ -210,8 +210,11 @@ def parse_scalar(text: str, radicand: int = 1) -> QuadScalar:
         if part.startswith("-sqrt"):
             raise ScalarParseError(f"write -1*sqrt(d), not -sqrt(d): {text!r}")
         value, rad = _parse_term(part)
+        if rad is not None:
+            root, rad = square_free(rad)
+            value *= root
         if rad is None or rad == 1:
-            # sqrt(1) = 1 folds into the rational part
+            # the root of a square folds into the rational part
             rat += value
         else:
             if seen_rad is not None and seen_rad != rad:
@@ -225,17 +228,13 @@ def parse_scalar(text: str, radicand: int = 1) -> QuadScalar:
     return QuadScalar(rat, irr, seen_rad if seen_rad is not None else 1)
 
 
-def _format_rational(q) -> str:
-    return str(q)
-
-
 def format_scalar(x: QuadScalar) -> str:
     """Canonical literal for ``x``; ``parse_scalar`` round-trips it."""
     if x.irr == 0:
-        return _format_rational(x.rat)
-    irr_term = f"{_format_rational(x.irr)}*sqrt({x.d})"
+        return str(x.rat)
+    irr_term = f"{x.irr!s}*sqrt({x.d})"
     if x.rat == 0:
         return irr_term
     if x.irr > 0:
-        return f"{_format_rational(x.rat)}+{irr_term}"
-    return f"{_format_rational(x.rat)}{irr_term}"
+        return f"{x.rat!s}+{irr_term}"
+    return f"{x.rat!s}{irr_term}"

@@ -17,7 +17,7 @@ from .bialgebra import TernaryBialgebra
 from .coalgebra import DeltaTensor, TernaryHomCoalgebra
 from .linalg import Matrix
 from .matched_pair import MatchedPairData
-from .scalars import format_scalar, parse_scalar
+from .scalars import MAX_RADICAND, format_scalar, parse_scalar, square_free
 from .trimodule import BihomModule, TrimoduleActions
 
 KINDS = ("algebra", "coalgebra", "bialgebra", "module", "matched_pair", "map")
@@ -101,18 +101,14 @@ def _load_coproduct(entries, dim, radicand) -> DeltaTensor:
     return delta
 
 
-def _dump_scalar(value):
-    return format_scalar(value)
-
-
 def _dump_matrix(m: Matrix):
-    return [[_dump_scalar(x) for x in row] for row in m]
+    return [[format_scalar(x) for x in row] for row in m]
 
 
 def _dump_product(mu: MuTensor):
     return [
         {"args": [i + 1 for i in key],
-         "out": {str(l + 1): _dump_scalar(v)
+         "out": {str(l + 1): format_scalar(v)
                  for l, v in sorted(mu[key].items())}}
         for key in sorted(mu)
     ]
@@ -122,7 +118,7 @@ def _dump_coproduct(delta: DeltaTensor):
     return [
         {"arg": l + 1,
          "out": [{"into": [i + 1 for i in key],
-                  "coeff": _dump_scalar(delta[l][key])}
+                  "coeff": format_scalar(delta[l][key])}
                  for key in sorted(delta[l])]}
         for l in sorted(delta)
     ]
@@ -135,8 +131,10 @@ def _common(doc):
     dim = doc.get("dim")
     _require(isinstance(dim, int) and dim >= 1, "dim must be a positive int")
     radicand = doc.get("radicand", 1)
-    _require(isinstance(radicand, int) and radicand >= 1,
-             "radicand must be a positive int")
+    _require(isinstance(radicand, int) and 1 <= radicand <= MAX_RADICAND
+             and square_free(radicand)[0] == 1,
+             f"radicand {radicand!r} is not a square-free int in "
+             f"1..{MAX_RADICAND}")
     return kind, dim, radicand
 
 

@@ -14,13 +14,29 @@ tensor slot, op_M(x, y)(v) with v in the middle slot.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from itertools import product
 
 from .algebra import MuTensor, TernaryHomAlgebra
-from .linalg import Matrix, SparseVec, mat_apply, vec_add_into
-from .report import DEFAULT_MAX_VIOLATIONS, LawReport, Report
-from .scalars import ONE, ZERO
+from .linalg import (
+    Matrix,
+    SparseVec,
+    mat_apply,
+    mat_block_diag,
+    mat_columns,
+    vec_add_into,
+)
+from .report import (
+    DEFAULT_MAX_VIOLATIONS,
+    VECTOR,
+    LawReport,
+    Report,
+    check_laws,
+    check_mode,
+    difference,
+    mode_residuals,
+)
+from .scalars import ONE
 
 ActionTensor = dict  # dict[tuple[int, int, int], SparseVec]
 
@@ -70,19 +86,6 @@ class TrimoduleActions:
         return out
 
 
-def _vdiff(a: SparseVec, b: SparseVec) -> SparseVec:
-    out = dict(a)
-    for i, v in b.items():
-        s = out.get(i)
-        if s is None:
-            out[i] = -v
-        elif s - v:
-            out[i] = s - v
-        else:
-            del out[i]
-    return out
-
-
 def _vstr(vec: SparseVec) -> str:
     return "{" + ", ".join(f"f{i + 1}: {vec[i]}" for i in sorted(vec)) + "}"
 
@@ -97,8 +100,7 @@ def check_trimodule(alg: TernaryHomAlgebra, mod: BihomModule,
     sums; level 'full' adds the braiding and twist-intertwining equations
     (identical in both modes).
     """
-    if mode not in ("total", "partial"):
-        raise ValueError(f"unknown mode {mode!r}")
+    check_mode(mode, ("total", "partial"))
     if level not in ("quasi", "full"):
         raise ValueError(f"unknown level {level!r}")
     n, m = alg.dim, mod.dim
@@ -136,62 +138,70 @@ def check_trimodule(alg: TernaryHomAlgebra, mod: BihomModule,
 
     prefix = "tr" if mode == "total" else "pr"
     report = Report()
-
+    residual = mode_residuals(mode, VECTOR, chained=True)
     for num, members in core:
         lr = LawReport(f"trimodule.{prefix}{num}", f"{prefix}{num}")
         report.add(lr)
-        for idx in itertools.product(range(n), range(n), range(n), range(n),
-                                     range(m)):
-            a, b, c, d = (ea[i] for i in idx[:4])
-            v = fv[idx[4]]
-            t1, t2, t3 = members(a, b, c, d, v)
-            if mode == "total":
-                res = _vdiff(t1, t2) or _vdiff(t2, t3)
-            else:
-                acc = dict(t1)
-                vec_add_into(acc, t2)
-                vec_add_into(acc, t3)
-                res = acc
-            if res:
-                key = tuple(i + 1 for i in idx)
-                if not lr.record(key, _vstr(res), max_violations):
-                    break
+        check_laws([lr], residual,
+                   product(range(n), range(n), range(n), range(n), range(m)),
+                   lambda idx: members(*(ea[i] for i in idx[:4]), fv[idx[4]]),
+                   _vstr, max_violations)
 
     if level == "full":
-        for num, beta in (("3", b1), ("3.2", b2)):
-            lr = LawReport(f"trimodule.{prefix}{num}", f"{prefix}{num}")
-            report.add(lr)
-            for idx in itertools.product(range(n), range(n), range(n),
-                                         range(n), range(n), range(n),
-                                         range(m)):
-                a, b, c, x, y, z = (ea[i] for i in idx[:6])
-                v = fv[idx[6]]
-                lhs = M(a1(a), a2(z),
-                        M(a1(b), a2(y), M(a1(c), a2(x), beta(v))))
-                rhs = M(mu(a1(a), a1(b), a1(c)),
-                        mu(a2(x), a2(y), a2(z)), beta(v))
-                res = _vdiff(lhs, rhs)
-                if res:
-                    key = tuple(i + 1 for i in idx)
-                    if not lr.record(key, _vstr(res), max_violations):
-                        break
-        intertwine = [("7", L), ("8", M), ("9", R)]
-        for num, op in intertwine:
-            for which, beta in (("beta1", b1), ("beta2", b2)):
-                lr = LawReport(f"trimodule.{prefix}{num}.{which}",
-                               f"{prefix}{num}")
-                report.add(lr)
-                for idx in itertools.product(range(n), range(n), range(m)):
-                    a, b = ea[idx[0]], ea[idx[1]]
-                    v = fv[idx[2]]
-                    lhs = beta(op(a, b, v))
-                    rhs = op(a1(a), a2(b), beta(v))
-                    res = _vdiff(lhs, rhs)
-                    if res:
-                        key = tuple(i + 1 for i in idx)
-                        if not lr.record(key, _vstr(res), max_violations):
-                            break
+        braids = [LawReport(f"trimodule.{prefix}{num}", f"{prefix}{num}")
+                  for num in ("3", "3.2")]
+        twines = [LawReport(f"trimodule.{prefix}{num}.{which}",
+                            f"{prefix}{num}")
+                  for num in ("7", "8", "9") for which in ("beta1", "beta2")]
+        report.laws += braids + twines
+        braiding_laws(alg, mod, act, braids, max_violations)
+        intertwining_laws(alg, mod, act, twines, max_violations)
     return report
+
+
+def braiding_laws(alg: TernaryHomAlgebra, mod: BihomModule,
+                  act: TrimoduleActions, laws: list[LawReport],
+                  cap: int) -> None:
+    """Braiding of the middle action, for beta = beta1, beta2 in turn:
+
+    M(a1 a, a2 z, M(a1 b, a2 y, M(a1 c, a2 x, beta v)))
+        = M(mu(a1 a, a1 b, a1 c), mu(a2 x, a2 y, a2 z), beta v)
+
+    over basis vectors a, b, c, x, y, z of the algebra and v of the module.
+    """
+    a1, a2 = mat_columns(alg.alpha1), mat_columns(alg.alpha2)
+    M, mu = act.op_M, alg.mu_vec
+    for lr, beta in zip(laws, (mod.beta1, mod.beta2)):
+        bv = mat_columns(beta)
+
+        def members(idx):
+            a, b, c, x, y, z, v = idx
+            return (M(a1[a], a2[z], M(a1[b], a2[y], M(a1[c], a2[x], bv[v]))),
+                    M(mu(a1[a], a1[b], a1[c]), mu(a2[x], a2[y], a2[z]), bv[v]))
+
+        check_laws([lr], [difference],
+                   product(*[range(alg.dim)] * 6, range(mod.dim)), members,
+                   _vstr, cap)
+
+
+def intertwining_laws(alg: TernaryHomAlgebra, mod: BihomModule,
+                      act: TrimoduleActions, laws: list[LawReport],
+                      cap: int) -> None:
+    """gamma op(a, b, v) = op(a1 a, a2 b, gamma v), one law per pair of
+    op = L, M, R and gamma = beta1, beta2, in that order."""
+    a1, a2 = mat_columns(alg.alpha1), mat_columns(alg.alpha2)
+    pairs = product((act.op_L, act.op_M, act.op_R), (mod.beta1, mod.beta2))
+    for lr, (op, gamma) in zip(laws, pairs):
+        gv = mat_columns(gamma)
+
+        def members(idx):
+            a, b, v = idx
+            return (mat_apply(gamma, op({a: ONE}, {b: ONE}, {v: ONE})),
+                    op(a1[a], a2[b], gv[v]))
+
+        check_laws([lr], [difference],
+                   product(range(alg.dim), range(alg.dim), range(mod.dim)),
+                   members, _vstr, cap)
 
 
 def regular_actions(alg: TernaryHomAlgebra, which: str = "lmr"
@@ -232,13 +242,6 @@ def semidirect_product(alg: TernaryHomAlgebra, mod: BihomModule,
         if out:
             mu[(n + w, a, b)] = {n + i: c for i, c in out.items()}
 
-    def block(top: Matrix, bottom: Matrix) -> Matrix:
-        rows = []
-        for i in range(n):
-            rows.append(list(top[i]) + [ZERO] * m)
-        for i in range(m):
-            rows.append([ZERO] * n + list(bottom[i]))
-        return rows
-
-    return TernaryHomAlgebra(dim, mu, block(alg.alpha1, mod.beta1),
-                             block(alg.alpha2, mod.beta2), alg.radicand)
+    return TernaryHomAlgebra(dim, mu, mat_block_diag(alg.alpha1, mod.beta1),
+                             mat_block_diag(alg.alpha2, mod.beta2),
+                             alg.radicand)

@@ -77,6 +77,14 @@ def test_dense_fixture_compatibility_fails():
     assert not check_bialgebra(b, "total", max_violations=1).passed
 
 
+def test_truncated_only_when_violations_may_remain():
+    # every one of the 8 basis triples of tb2 violates compatibility
+    full = check_compatibility(tb2(), max_violations=8).law("compat")
+    assert len(full.violations) == 8 and not full.truncated
+    capped = check_compatibility(tb2(), max_violations=7).law("compat")
+    assert capped.violations == full.violations[:7] and capped.truncated
+
+
 def test_sigma_form_agrees_on_fixtures():
     for b in (pb2(), tb2(), eq2()):
         assert check_compatibility(b, max_violations=1).passed == \

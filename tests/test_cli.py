@@ -53,16 +53,6 @@ def test_check_json_report_is_deterministic(capsys):
     assert all(len(lr["violations"]) <= 10 for lr in doc["laws"])
 
 
-def test_check_threads_env_matches_sequential(capsys, monkeypatch):
-    argv = ["check", fx("pb2.json"), "--mode", "partial", "--json"]
-    monkeypatch.setenv("TERNALG_THREADS", "0")
-    assert main(argv) == 0
-    seq = capsys.readouterr().out
-    monkeypatch.setenv("TERNALG_THREADS", "4")
-    assert main(argv) == 0
-    assert capsys.readouterr().out == seq
-
-
 def test_twist_reproduces_fixtures(capsys):
     assert main(["twist", fx("t2.json"), "--endo", fx("rho1.json")]) == 0
     assert capsys.readouterr().out == \
@@ -144,5 +134,16 @@ def test_malformed_scalar_rejected(tmp_path):
         "product": [{"args": [1, 1, 1], "out": {"1": "-sqrt(5)"}}],
         "alpha1": [["1"]], "alpha2": [["1"]]}))
     with pytest.raises(StructureFileError):
+        load_file(bad)
+    assert main(["check", str(bad)]) == 2
+
+
+def test_non_square_free_radicand_rejected(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "kind": "algebra", "dim": 1, "radicand": 4,
+        "product": [{"args": [1, 1, 1], "out": {"1": "1"}}],
+        "alpha1": [["1"]], "alpha2": [["1"]]}))
+    with pytest.raises(StructureFileError, match="square-free"):
         load_file(bad)
     assert main(["check", str(bad)]) == 2

@@ -76,6 +76,10 @@ def test_distinct_radicands_rejected():
         ("0", ZERO),
         ("1+2", QuadScalar(3)),
         ("2*sqrt(2)+3", QuadScalar(3, 2, 2)),
+        # radicands reduce to their square-free part
+        ("sqrt(4)", QuadScalar(2)),
+        ("sqrt(8)", QuadScalar(0, 2, 2)),
+        ("1+1/2*sqrt(18)", QuadScalar(1, "3/2", 2)),
     ],
 )
 def test_parse(text, expected):
@@ -84,7 +88,8 @@ def test_parse(text, expected):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "sqrt(5", "-sqrt(5)", "1+1*sqrt(2)+1*sqrt(2)", "1*sqrt(2)+1*sqrt(3)", "x"],
+    ["", "sqrt(5", "-sqrt(5)", "1+1*sqrt(2)+1*sqrt(2)", "1*sqrt(2)+1*sqrt(3)", "x",
+     "sqrt(0)", "sqrt(1000000001)"],
 )
 def test_parse_rejects(text):
     with pytest.raises(ScalarParseError):
@@ -95,6 +100,12 @@ def test_parse_radicand_context():
     with pytest.raises(ScalarParseError):
         parse_scalar("sqrt(3)", radicand=5)
     assert parse_scalar("sqrt(5)", radicand=5) == QuadScalar(0, 1, 5)
+    assert parse_scalar("sqrt(20)", radicand=5) == QuadScalar(0, 2, 5)
+
+
+def test_reduced_radicands_multiply():
+    # sqrt(8) and sqrt(2) both lie in Q(sqrt(2))
+    assert parse_scalar("sqrt(8)") * parse_scalar("sqrt(2)") == QuadScalar(4)
 
 
 def test_format_round_trip_cases():
