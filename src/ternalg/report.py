@@ -146,10 +146,13 @@ def check_laws(laws: list[LawReport], residuals: list, indices, members,
     has reached the cap is still evaluated while another law is below it,
     and is marked truncated on its next nonzero residual.  Once every law
     has reached the cap the loop stops, and marks those laws truncated if
-    an index remains; the members there are not evaluated.
+    an index remains; the members there are not evaluated.  A cap below 1
+    raises ValueError, since it would report a failing law as passed.
     """
+    if cap < 1:
+        raise ValueError(f"max_violations must be at least 1, not {cap}")
     pending = list(zip(laws, residuals))
-    below_cap = len(pending) if cap > 0 else 0
+    below_cap = len(pending)
     for index in indices:
         if not below_cap:
             for lr, _ in pending:

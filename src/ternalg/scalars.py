@@ -1,30 +1,21 @@
 """Exact scalar arithmetic over the quadratic extension Q(sqrt(d)).
 
 Every coefficient in this package is a ``QuadScalar``: a value
-``rat + irr*sqrt(d)`` with exact rational parts.  The radicand ``d`` is a
-small square-free positive integer shared by all scalars of one structure;
-``d = 1`` is the pure-rational case and is the canonical form whenever the
-irrational part vanishes.
-
-The rational backend is selected once at import time: ``gmpy2.mpq`` when
-it is importable, otherwise ``fractions.Fraction``; ``BACKEND`` names it.
+``(a + b*sqrt(d)) / q`` held as four Python ints.  The radicand ``d`` is a
+small square-free positive integer shared by all scalars of one structure.
+The form is canonical: ``q > 0``, ``gcd(a, b, q) == 1``, and ``b == 0``
+exactly when ``d == 1``, the pure-rational case.  So two scalars are equal
+exactly when their quadruples are, and arithmetic never builds a rational
+object: each result is reduced by one gcd.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
+from math import gcd
 
-try:
-    from gmpy2 import mpq as Rational
-
-    BACKEND = "gmpy2"
-except ImportError:
-    from fractions import Fraction as Rational
-
-    BACKEND = "fractions"
-
-_RAT_ZERO = Rational(0)
-_RAT_ONE = Rational(1)
+BACKEND = "int"
 
 
 class RadicandMismatch(ValueError):
@@ -33,96 +24,6 @@ class RadicandMismatch(ValueError):
 
 class ScalarParseError(ValueError):
     """A scalar literal does not conform to the grammar."""
-
-
-class QuadScalar:
-    """An element ``rat + irr*sqrt(d)`` of Q(sqrt(d)), immutable."""
-
-    __slots__ = ("rat", "irr", "d")
-
-    def __init__(self, rat, irr=0, d: int = 1):
-        rat = Rational(rat)
-        irr = Rational(irr)
-        if d < 1:
-            raise ValueError("radicand must be a positive integer")
-        if d == 1:
-            # sqrt(1) folds into the rational part; canonical form keeps d = 1
-            rat += irr
-            irr = _RAT_ZERO
-        elif irr == 0:
-            d = 1
-        object.__setattr__(self, "rat", rat)
-        object.__setattr__(self, "irr", irr)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadScalar is immutable")
-
-    # -- ring structure -------------------------------------------------
-
-    def _join(self, other: "QuadScalar") -> int:
-        if self.d == other.d:
-            return self.d
-        if self.d == 1:
-            return other.d
-        if other.d == 1:
-            return self.d
-        raise RadicandMismatch(f"sqrt({self.d}) vs sqrt({other.d})")
-
-    def __add__(self, other):
-        if not isinstance(other, QuadScalar):
-            return NotImplemented
-        return QuadScalar(self.rat + other.rat, self.irr + other.irr, self._join(other))
-
-    def __sub__(self, other):
-        if not isinstance(other, QuadScalar):
-            return NotImplemented
-        return QuadScalar(self.rat - other.rat, self.irr - other.irr, self._join(other))
-
-    def __neg__(self):
-        return QuadScalar(-self.rat, -self.irr, self.d)
-
-    def __mul__(self, other):
-        if not isinstance(other, QuadScalar):
-            return NotImplemented
-        d = self._join(other)
-        if self.irr == 0:
-            if other.irr == 0:
-                return QuadScalar(self.rat * other.rat)
-            return QuadScalar(self.rat * other.rat, self.rat * other.irr, d)
-        return QuadScalar(
-            self.rat * other.rat + d * self.irr * other.irr,
-            self.rat * other.irr + self.irr * other.rat,
-            d,
-        )
-
-    def inverse(self) -> "QuadScalar":
-        """Multiplicative inverse via the conjugate; raises on zero."""
-        norm = self.rat * self.rat - self.d * self.irr * self.irr
-        if norm == 0:
-            raise ZeroDivisionError("scalar has no inverse")
-        return QuadScalar(self.rat / norm, -self.irr / norm, self.d)
-
-    def __bool__(self):
-        return bool(self.rat) or bool(self.irr)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadScalar):
-            return NotImplemented
-        return self.rat == other.rat and self.irr == other.irr and self.d == other.d
-
-    def __hash__(self):
-        return hash((self.rat, self.irr, self.d))
-
-    def __repr__(self):
-        return f"QuadScalar({format_scalar(self)!r})"
-
-    def __str__(self):
-        return format_scalar(self)
-
-
-ZERO = QuadScalar(0)
-ONE = QuadScalar(1)
 
 
 MAX_RADICAND = 10 ** 9  # keeps the trial division below cheap
@@ -144,6 +45,153 @@ def square_free(k: int) -> tuple[int, int]:
     return root, k
 
 
+def _join(d1: int, d2: int) -> int:
+    """The common radicand of two different ones, one of them 1."""
+    if d1 == 1:
+        return d2
+    if d2 == 1:
+        return d1
+    raise RadicandMismatch(f"sqrt({d1}) vs sqrt({d2})")
+
+
+class QuadScalar:
+    """An element ``(a + b*sqrt(d)) / q`` of Q(sqrt(d)), immutable.
+
+    ``QuadScalar(rat, irr, d)`` is ``rat + irr*sqrt(d)`` for ints,
+    ``Fraction``s or strings such as ``"5/2"``; ``d`` is reduced to its
+    square-free part, so ``QuadScalar(0, 1, 8)`` is ``2*sqrt(2)``.
+    """
+
+    __slots__ = ("_a", "_b", "_q", "_d")
+
+    def __init__(self, rat, irr=0, d: int = 1):
+        if d < 1:
+            raise ValueError("radicand must be a positive integer")
+        root, d = square_free(d)
+        rat, irr = Fraction(rat), Fraction(irr) * root
+        m1, m2 = rat.denominator, irr.denominator
+        a, b = rat.numerator * m2, irr.numerator * m1
+        if d == 1:
+            # sqrt of a square folds into the rational part
+            a, b = a + b, 0
+        x = _make(a, b, m1 * m2, d)
+        self._a, self._b, self._q, self._d = x._a, x._b, x._q, x._d
+
+    @property
+    def a(self) -> int:
+        return self._a
+
+    @property
+    def b(self) -> int:
+        return self._b
+
+    @property
+    def q(self) -> int:
+        return self._q
+
+    @property
+    def d(self) -> int:
+        return self._d
+
+    # -- ring structure -------------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, QuadScalar):
+            return NotImplemented
+        a1, b1, q1, d = self._a, self._b, self._q, self._d
+        a2, b2, q2, d2 = other._a, other._b, other._q, other._d
+        if d != d2:
+            d = _join(d, d2)
+        if q1 == q2:
+            return _make(a1 + a2, b1 + b2, q1, d)
+        return _make(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1, q1 * q2, d)
+
+    def __sub__(self, other):
+        if not isinstance(other, QuadScalar):
+            return NotImplemented
+        a1, b1, q1, d = self._a, self._b, self._q, self._d
+        a2, b2, q2, d2 = other._a, other._b, other._q, other._d
+        if d != d2:
+            d = _join(d, d2)
+        if q1 == q2:
+            return _make(a1 - a2, b1 - b2, q1, d)
+        return _make(a1 * q2 - a2 * q1, b1 * q2 - b2 * q1, q1 * q2, d)
+
+    def __neg__(self):
+        a, b, q, d = self._a, self._b, self._q, self._d
+        return _make(-a, -b, q, d)
+
+    def __mul__(self, other):
+        if not isinstance(other, QuadScalar):
+            return NotImplemented
+        a1, b1, q1, d = self._a, self._b, self._q, self._d
+        a2, b2, q2, d2 = other._a, other._b, other._q, other._d
+        if not b1:
+            if not b2:
+                return _make(a1 * a2, 0, q1 * q2, 1)
+            return _make(a1 * a2, a1 * b2, q1 * q2, d2)
+        if not b2:
+            return _make(a1 * a2, b1 * a2, q1 * q2, d)
+        if d != d2:
+            d = _join(d, d2)
+        return _make(a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2, q1 * q2, d)
+
+    def inverse(self) -> "QuadScalar":
+        """Multiplicative inverse via the conjugate; raises on zero."""
+        a, b, q, d = self._a, self._b, self._q, self._d
+        norm = a * a - d * b * b
+        if not norm:
+            raise ZeroDivisionError("scalar has no inverse")
+        if norm < 0:
+            norm, q = -norm, -q
+        return _make(q * a, -q * b, norm, d)
+
+    def __bool__(self):
+        return self._a != 0 or self._b != 0
+
+    def __eq__(self, other):
+        if not isinstance(other, QuadScalar):
+            return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._q == other._q and self._d == other._d)
+
+    def __hash__(self):
+        return hash((self._a, self._b, self._q, self._d))
+
+    def __repr__(self):
+        return f"QuadScalar({format_scalar(self)!r})"
+
+    def __str__(self):
+        return format_scalar(self)
+
+
+_new = object.__new__
+
+
+def _make(a: int, b: int, q: int, d: int) -> QuadScalar:
+    """The canonical scalar ``(a + b*sqrt(d)) / q``, given ``q > 0``.
+
+    ``d`` must already be square-free; it becomes 1 when ``b`` vanishes.
+    """
+    g = gcd(a, b, q)
+    if g != 1:
+        a //= g
+        b //= g
+        q //= g
+    if not b:
+        d = 1
+    x = _new(QuadScalar)
+    x._a = a
+    x._b = b
+    x._q = q
+    x._d = d
+    return x
+
+
+ZERO = _make(0, 0, 1, 1)
+ONE = _make(1, 0, 1, 1)
+
+
 # -- literal grammar ----------------------------------------------------
 #
 #   scalar := term (("+" | "-") term)?
@@ -163,22 +211,19 @@ _TERM = re.compile(
 )
 
 
-def _parse_term(text: str):
+def _parse_term(text: str) -> tuple[int, int, int | None]:
+    """(numerator, denominator, radicand or None) of one term."""
     m = _TERM.fullmatch(text)
     if m is None:
         raise ScalarParseError(f"bad scalar term: {text!r}")
     if m.group("rad2") is not None:
-        return _RAT_ONE, int(m.group("rad2"))
-    coef = m.group("coef")
-    if "/" in coef:
-        num, den = coef.split("/")
-        if int(den) <= 0:
-            raise ScalarParseError(f"denominator must be positive: {text!r}")
-        value = Rational(int(num), int(den))
-    else:
-        value = Rational(int(coef))
+        return 1, 1, int(m.group("rad2"))
+    num, _, den = m.group("coef").partition("/")
+    den = int(den) if den else 1
+    if den <= 0:
+        raise ScalarParseError(f"denominator must be positive: {text!r}")
     rad = m.group("rad1")
-    return value, (int(rad) if rad is not None else None)
+    return int(num), den, (int(rad) if rad is not None else None)
 
 
 def parse_scalar(text: str, radicand: int = 1) -> QuadScalar:
@@ -203,38 +248,49 @@ def parse_scalar(text: str, radicand: int = 1) -> QuadScalar:
         parts = [text[:split_at], text[split_at:]]
         if parts[1][0] == "+":
             parts[1] = parts[1][1:]
-    rat = _RAT_ZERO
-    irr = _RAT_ZERO
+    # the value read so far is (a + b*sqrt(seen_rad)) / q
+    a, b, q = 0, 0, 1
     seen_rad = None
     for part in parts:
         if part.startswith("-sqrt"):
             raise ScalarParseError(f"write -1*sqrt(d), not -sqrt(d): {text!r}")
-        value, rad = _parse_term(part)
+        num, den, rad = _parse_term(part)
         if rad is not None:
             root, rad = square_free(rad)
-            value *= root
+            num *= root
         if rad is None or rad == 1:
             # the root of a square folds into the rational part
-            rat += value
+            a, b = a * den + num * q, b * den
         else:
             if seen_rad is not None and seen_rad != rad:
                 raise ScalarParseError(f"mixed radicands in {text!r}")
             seen_rad = rad
-            irr += value
+            a, b = a * den, b * den + num * q
+        q *= den
     if seen_rad is not None and radicand != 1 and seen_rad != radicand:
         raise ScalarParseError(
             f"radicand {seen_rad} does not match context radicand {radicand}"
         )
-    return QuadScalar(rat, irr, seen_rad if seen_rad is not None else 1)
+    return _make(a, b, q, seen_rad or 1)
+
+
+def _ratio_str(n: int, q: int) -> str:
+    """``n/q`` in lowest terms as ``str(Fraction(n, q))`` writes it."""
+    g = gcd(n, q)
+    if g != 1:
+        n //= g
+        q //= g
+    return str(n) if q == 1 else f"{n}/{q}"
 
 
 def format_scalar(x: QuadScalar) -> str:
     """Canonical literal for ``x``; ``parse_scalar`` round-trips it."""
-    if x.irr == 0:
-        return str(x.rat)
-    irr_term = f"{x.irr!s}*sqrt({x.d})"
-    if x.rat == 0:
+    a, b, q, d = x._a, x._b, x._q, x._d
+    if not b:
+        return _ratio_str(a, q)
+    irr_term = f"{_ratio_str(b, q)}*sqrt({d})"
+    if not a:
         return irr_term
-    if x.irr > 0:
-        return f"{x.rat!s}+{irr_term}"
-    return f"{x.rat!s}{irr_term}"
+    if b > 0:
+        return f"{_ratio_str(a, q)}+{irr_term}"
+    return f"{_ratio_str(a, q)}{irr_term}"

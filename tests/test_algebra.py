@@ -9,6 +9,7 @@ from ternalg.algebra import (
     is_algebra_isomorphism,
 )
 from ternalg.linalg import mat_identity
+from ternalg.report import SCALAR, check_laws, mode_laws, mode_residuals
 from ternalg.scalars import QuadScalar
 
 
@@ -110,6 +111,20 @@ def test_max_violations_cap():
     lr = rep.law("assoc:total:1-2")
     assert len(lr.violations) == 1
     assert lr.truncated
+
+
+def test_max_violations_below_one_rejected():
+    # a cap of 0 used to record nothing and report this failing law as passed
+    a = classical(2, mu_from({(1, 1, 1): {2: 1}, (2, 2, 2): {1: 1}}))
+    for cap in (0, -1):
+        with pytest.raises(ValueError):
+            a.check_associativity("total", max_violations=cap)
+    evaluated = []
+    with pytest.raises(ValueError):
+        check_laws(mode_laws("assoc", ("a", "b", "c", "d"), "weak"),
+                   mode_residuals("weak", SCALAR), [(0,)], evaluated.append,
+                   str, 0)
+    assert not evaluated
 
 
 def test_multiplicativity_of_identity_twists():

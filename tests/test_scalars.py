@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +24,12 @@ def test_rational_canonical_form():
 def test_radicand_one_folds():
     # sqrt(1) = 1, so 2 + 3*sqrt(1) is just 5
     assert QuadScalar(2, 3, 1) == QuadScalar(5)
+
+
+def test_constructor_reduces_radicand():
+    assert QuadScalar(0, 1, 4) == QuadScalar(2)
+    assert QuadScalar(0, 1, 8) == QuadScalar(0, 2, 2)
+    assert format_scalar(QuadScalar(0, 1, 8)) == "2*sqrt(2)"
 
 
 def test_add_sub():
@@ -156,3 +165,107 @@ def test_field_axioms_triple(a, b, c):
 @given(scalars())
 def test_format_parse_round_trip(a):
     assert parse_scalar(format_scalar(a)) == a
+
+
+# -- differential test against a reference model --------------------------
+#
+# The model keeps a scalar as (rat, irr, d) with Fraction parts and d = 1
+# whenever irr = 0, computes with Fraction arithmetic, and renders with the
+# Fraction-based formatter the int kernel replaced.
+
+
+def model_of(x):
+    return (Fraction(x.a, x.q), Fraction(x.b, x.q), x.d)
+
+
+def model(rat, irr, d):
+    return (rat, irr, d) if irr else (rat, irr, 1)
+
+
+def model_join(x, y):
+    if x[2] != 1 and y[2] != 1 and x[2] != y[2]:
+        raise RadicandMismatch
+    return max(x[2], y[2])
+
+
+def model_add(x, y):
+    return model(x[0] + y[0], x[1] + y[1], model_join(x, y))
+
+
+def model_sub(x, y):
+    return model(x[0] - y[0], x[1] - y[1], model_join(x, y))
+
+
+def model_mul(x, y):
+    d = model_join(x, y)
+    return model(x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0], d)
+
+
+def model_neg(x):
+    return model(-x[0], -x[1], x[2])
+
+
+def model_inverse(x):
+    norm = x[0] * x[0] - x[2] * x[1] * x[1]
+    return model(x[0] / norm, -x[1] / norm, x[2])
+
+
+def model_format(x):
+    rat, irr, d = x
+    if irr == 0:
+        return str(rat)
+    irr_term = f"{irr!s}*sqrt({d})"
+    if rat == 0:
+        return irr_term
+    if irr > 0:
+        return f"{rat!s}+{irr_term}"
+    return f"{rat!s}{irr_term}"
+
+
+def assert_canonical(x):
+    assert x.q > 0
+    assert gcd(x.a, x.b, x.q) == 1
+    assert (x.b == 0) == (x.d == 1)
+
+
+wide_rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                              max_denominator=10 ** 4)
+
+
+@st.composite
+def modelled_scalars(draw):
+    rat = draw(st.one_of(st.just(Fraction(0)), wide_rationals))
+    irr = draw(st.one_of(st.just(Fraction(0)), wide_rationals))
+    d = draw(st.sampled_from([1, 2, 3, 5]))
+    if d == 1:
+        rat, irr = rat + irr, Fraction(0)
+    return QuadScalar(rat, irr, d), model(rat, irr, d)
+
+
+def agrees(result, expected):
+    assert_canonical(result)
+    assert model_of(result) == expected
+    assert format_scalar(result) == model_format(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(modelled_scalars(), modelled_scalars())
+def test_kernel_matches_fraction_model(x, y):
+    (a, ma), (b, mb) = x, y
+    agrees(a, ma)
+    agrees(-a, model_neg(ma))
+    if a:
+        agrees(a.inverse(), model_inverse(ma))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+    for op, model_op in ((QuadScalar.__add__, model_add),
+                         (QuadScalar.__sub__, model_sub),
+                         (QuadScalar.__mul__, model_mul)):
+        try:
+            expected = model_op(ma, mb)
+        except RadicandMismatch:
+            with pytest.raises(RadicandMismatch):
+                op(a, b)
+        else:
+            agrees(op(a, b), expected)
