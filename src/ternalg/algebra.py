@@ -24,7 +24,7 @@ from .linalg import (
     mat_invertible,
     mat_is_identity,
     mat_mul,
-    vec_add_into,
+    trilinear,
 )
 from .report import (
     DEFAULT_MAX_VIOLATIONS,
@@ -70,13 +70,7 @@ class TernaryHomAlgebra:
         return self.mu.get((r, s, t), {})
 
     def mu_vec(self, x: SparseVec, y: SparseVec, z: SparseVec) -> SparseVec:
-        out: SparseVec = {}
-        for r, xr in x.items():
-            for s, ys in y.items():
-                c = xr * ys
-                for t, zt in z.items():
-                    vec_add_into(out, self.mu_basis(r, s, t), c * zt)
-        return out
+        return trilinear(self.mu, x, y, z)
 
     # left / middle / right multiplication operators
     def op_L(self, x: SparseVec, y: SparseVec, z: SparseVec) -> SparseVec:

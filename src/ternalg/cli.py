@@ -133,8 +133,8 @@ def cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _emit(obj, args, radicand=1):
-    text = dump_text(obj, radicand)
+def _emit(obj, args):
+    text = dump_text(obj)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

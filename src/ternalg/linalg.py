@@ -73,6 +73,26 @@ def vec_sub(a: SparseVec, b: SparseVec) -> SparseVec:
     return out
 
 
+def trilinear(tensor: dict, x: SparseVec, y: SparseVec,
+              z: SparseVec) -> SparseVec:
+    """The sum of x[r] * y[s] * z[t] * tensor[(r, s, t)] over (r, s, t).
+
+    ``tensor`` maps index triples to sparse vectors; an entry is looked up
+    before its coefficient is multiplied out.
+    """
+    out: SparseVec = {}
+    if not z:
+        return out
+    for r, xr in x.items():
+        for s, ys in y.items():
+            c = xr * ys
+            for t, zt in z.items():
+                vec = tensor.get((r, s, t))
+                if vec:
+                    vec_add_into(out, vec, c * zt)
+    return out
+
+
 def drop_zeros(tensor: dict) -> dict:
     """A dict of sparse vectors without its zero entries and empty vectors."""
     out = {}

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import MuTensor, TernaryHomAlgebra
-from .linalg import mat_apply, mat_block_diag, vec_add_at
+from .algebra import TernaryHomAlgebra
 from .report import (
     DEFAULT_MAX_VIOLATIONS,
     VECTOR,
@@ -31,6 +30,7 @@ from .trimodule import (
     BihomModule,
     TrimoduleActions,
     _vstr,
+    block_product,
     braiding_laws,
     check_trimodule,
     intertwining_laws,
@@ -56,10 +56,8 @@ def _conditions(mp: MatchedPairData):
     muB = mp.B.mu_vec
     LA, RA, MA = mp.actA.op_L, mp.actA.op_R, mp.actA.op_M
     LB, RB, MB = mp.actB.op_L, mp.actB.op_R, mp.actB.op_M
-    A1 = lambda v: mat_apply(mp.A.alpha1, v)
-    A2 = lambda v: mat_apply(mp.A.alpha2, v)
-    B1 = lambda v: mat_apply(mp.B.alpha1, v)
-    B2 = lambda v: mat_apply(mp.B.alpha2, v)
+    A1, A2 = mp.A.apply_alpha1, mp.A.apply_alpha2
+    B1, B2 = mp.B.apply_alpha1, mp.B.apply_alpha2
 
     return [
         ("1", "AAABB", lambda x, y, z, a, b: [
@@ -194,37 +192,4 @@ def check_matched_pair(mp: MatchedPairData, mode: str = "total",
 
 def bicrossed_product(mp: MatchedPairData) -> TernaryHomAlgebra:
     """The eight-term block product on A + B; no laws are checked here."""
-    n, m = mp.A.dim, mp.B.dim
-    mu: MuTensor = {}
-
-    def put(key, out, offset):
-        if out:
-            vec = mu.setdefault(key, {})
-            for i, c in out.items():
-                vec_add_at(vec, offset + i, c)
-            if not vec:
-                del mu[key]
-
-    for (r, s, t), out in mp.A.mu.items():
-        put((r, s, t), out, 0)
-    for (r, s, t), out in mp.B.mu.items():
-        put((n + r, n + s, n + t), out, n)
-    # A-valued cross terms
-    for (a, b, z), out in mp.actB.L.items():
-        put((n + a, n + b, z), out, 0)
-    for (a, y, c), out in mp.actB.M.items():
-        put((n + a, y, n + c), out, 0)
-    for (x, b, c), out in mp.actB.R.items():
-        put((x, n + b, n + c), out, 0)
-    # B-valued cross terms
-    for (x, y, c), out in mp.actA.L.items():
-        put((x, y, n + c), out, n)
-    for (x, b, z), out in mp.actA.M.items():
-        put((x, n + b, z), out, n)
-    for (a, y, z), out in mp.actA.R.items():
-        put((n + a, y, z), out, n)
-
-    return TernaryHomAlgebra(n + m, mu,
-                             mat_block_diag(mp.A.alpha1, mp.B.alpha1),
-                             mat_block_diag(mp.A.alpha2, mp.B.alpha2),
-                             mp.A.radicand)
+    return block_product(mp.A, mp.B, mp.actA, mp.actB)

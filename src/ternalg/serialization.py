@@ -64,16 +64,29 @@ def _load_matrix(rows, dim, radicand, name) -> Matrix:
     return out
 
 
+def _entries(entries, what):
+    """The entries of a tensor, each checked to be a JSON object."""
+    _require(entries is None or isinstance(entries, list),
+             f"{what} must be a list of entries")
+    for entry in entries or []:
+        _require(isinstance(entry, dict), f"{what} entry must be an object")
+        yield entry
+
+
 def _load_product(entries, dims, out_dim, radicand) -> MuTensor:
     """dims gives the admissible range per argument slot."""
     mu: MuTensor = {}
-    for entry in entries or []:
+    for entry in _entries(entries, "product"):
         args = entry.get("args")
         _require(isinstance(args, list) and len(args) == 3,
                  "product entry needs 3 args")
         key = tuple(_index(a, d, "product") for a, d in zip(args, dims))
+        out = entry.get("out", {})
+        _require(isinstance(out, dict), "product 'out' must be an object")
         vec = {}
-        for l, text in entry.get("out", {}).items():
+        for l, text in out.items():
+            _require(l.isdecimal(), f"product output index {l!r} is not "
+                     "an integer")
             coeff = _scalar(text, radicand)
             if coeff:
                 vec[_index(int(l), out_dim, "product output")] = coeff
@@ -85,16 +98,21 @@ def _load_product(entries, dims, out_dim, radicand) -> MuTensor:
 
 def _load_coproduct(entries, dim, radicand) -> DeltaTensor:
     delta: DeltaTensor = {}
-    for entry in entries or []:
+    for entry in _entries(entries, "coproduct"):
         l = _index(entry.get("arg"), dim, "coproduct")
+        terms = entry.get("out", [])
+        _require(isinstance(terms, list), "coproduct 'out' must be a list")
         tens = {}
-        for item in entry.get("out", []):
+        for item in terms:
+            _require(isinstance(item, dict), "coproduct term must be an object")
             into = item.get("into")
             _require(isinstance(into, list) and len(into) == 3,
                      "coproduct term needs a 3-index 'into'")
-            coeff = _scalar(item.get("coeff"), radicand)
-            if coeff:
-                tens[tuple(_index(i, dim, "coproduct") for i in into)] = coeff
+            key = tuple(_index(i, dim, "coproduct") for i in into)
+            _require(key not in tens,
+                     f"duplicate coproduct term {into} in entry {l + 1}")
+            tens[key] = _scalar(item.get("coeff"), radicand)
+        tens = {key: coeff for key, coeff in tens.items() if coeff}
         if tens:
             _require(l not in delta, f"duplicate coproduct entry {l + 1}")
             delta[l] = tens
@@ -214,13 +232,14 @@ def load_structure(doc):
     return MatchedPairData(a, b, act_a, act_b)
 
 
-def dump_structure(obj, radicand: int = 1) -> dict:
+def dump_structure(obj) -> dict:
     """Render a library object as a canonical structure document.
 
-    The radicand argument only matters for bare matrices; every other
-    object carries its own.
+    A bare matrix takes its radicand from its entries; every other object
+    carries its own.
     """
     if isinstance(obj, list):  # a bare matrix
+        radicand = 1
         for row in obj:
             for x in row:
                 if x.d != 1:
@@ -286,10 +305,10 @@ def load_file(path):
     return load_structure(doc)
 
 
-def dump_text(obj, radicand: int = 1) -> str:
-    return json.dumps(dump_structure(obj, radicand), indent=2) + "\n"
+def dump_text(obj) -> str:
+    return json.dumps(dump_structure(obj), indent=2) + "\n"
 
 
-def dump_file(obj, path, radicand: int = 1) -> None:
+def dump_file(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_text(obj, radicand))
+        fh.write(dump_text(obj))

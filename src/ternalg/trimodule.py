@@ -1,4 +1,4 @@
-"""Bihom-modules, trimodule actions, and the semidirect product.
+"""Bihom-modules, trimodule actions, and the block products built on them.
 
 A bihom-module is a space with two designated self-maps.  Trimodule
 actions of an algebra A on a module V are stored uncurried and sparse:
@@ -24,7 +24,7 @@ from .linalg import (
     mat_apply,
     mat_block_diag,
     mat_columns,
-    vec_add_into,
+    trilinear,
 )
 from .report import (
     DEFAULT_MAX_VIOLATIONS,
@@ -59,31 +59,13 @@ class TrimoduleActions:
     M: ActionTensor = field(default_factory=dict)
 
     def op_L(self, x: SparseVec, y: SparseVec, v: SparseVec) -> SparseVec:
-        out: SparseVec = {}
-        for a, xa in x.items():
-            for b, yb in y.items():
-                c = xa * yb
-                for w, vw in v.items():
-                    vec_add_into(out, self.L.get((a, b, w), {}), c * vw)
-        return out
+        return trilinear(self.L, x, y, v)
 
     def op_R(self, x: SparseVec, y: SparseVec, v: SparseVec) -> SparseVec:
-        out: SparseVec = {}
-        for w, vw in v.items():
-            for a, xa in x.items():
-                c = vw * xa
-                for b, yb in y.items():
-                    vec_add_into(out, self.R.get((w, a, b), {}), c * yb)
-        return out
+        return trilinear(self.R, v, x, y)
 
     def op_M(self, x: SparseVec, y: SparseVec, v: SparseVec) -> SparseVec:
-        out: SparseVec = {}
-        for a, xa in x.items():
-            for w, vw in v.items():
-                c = xa * vw
-                for b, yb in y.items():
-                    vec_add_into(out, self.M.get((a, w, b), {}), c * yb)
-        return out
+        return trilinear(self.M, x, v, y)
 
 
 def _vstr(vec: SparseVec) -> str:
@@ -106,8 +88,7 @@ def check_trimodule(alg: TernaryHomAlgebra, mod: BihomModule,
     n, m = alg.dim, mod.dim
     ea = [{i: ONE} for i in range(n)]
     fv = [{i: ONE} for i in range(m)]
-    a1 = lambda x: mat_apply(alg.alpha1, x)
-    a2 = lambda x: mat_apply(alg.alpha2, x)
+    a1, a2 = alg.apply_alpha1, alg.apply_alpha2
     b1 = lambda v: mat_apply(mod.beta1, v)
     b2 = lambda v: mat_apply(mod.beta2, v)
     mu = alg.mu_vec
@@ -224,24 +205,33 @@ def regular_actions(alg: TernaryHomAlgebra, which: str = "lmr"
     return mod, act
 
 
+def block_product(A: TernaryHomAlgebra, B: TernaryHomAlgebra,
+                  actA: TrimoduleActions, actB: TrimoduleActions
+                  ) -> TernaryHomAlgebra:
+    """The product on A + B built from mu_A, mu_B and the six actions.
+
+    ``actA`` lets A act on B and ``actB`` lets B act on A, in the slot
+    layout of ``TrimoduleActions``.  The eight tensors say which slots
+    index B in eight different ways, so each fills a block of its own.
+    """
+    n = A.dim
+    mu: MuTensor = {}
+    # (tensor, offsets of its three argument slots, offset of its output)
+    for tensor, (i, j, k), out in (
+            (A.mu, (0, 0, 0), 0), (B.mu, (n, n, n), n),
+            (actB.L, (n, n, 0), 0), (actB.M, (n, 0, n), 0),
+            (actB.R, (0, n, n), 0),
+            (actA.L, (0, 0, n), n), (actA.M, (0, n, 0), n),
+            (actA.R, (n, 0, 0), n)):
+        for (r, s, t), vec in tensor.items():
+            mu[(i + r, j + s, k + t)] = {out + l: c for l, c in vec.items()}
+    return TernaryHomAlgebra(n + B.dim, mu,
+                             mat_block_diag(A.alpha1, B.alpha1),
+                             mat_block_diag(A.alpha2, B.alpha2), A.radicand)
+
+
 def semidirect_product(alg: TernaryHomAlgebra, mod: BihomModule,
                        act: TrimoduleActions) -> TernaryHomAlgebra:
-    """Block product on A + V driven by mu and the three actions."""
-    n, m = alg.dim, mod.dim
-    dim = n + m
-    mu: MuTensor = {}
-    for (r, s, t), out in alg.mu.items():
-        mu[(r, s, t)] = dict(out)
-    for (a, b, w), out in act.L.items():
-        if out:
-            mu[(a, b, n + w)] = {n + i: c for i, c in out.items()}
-    for (a, w, b), out in act.M.items():
-        if out:
-            mu[(a, n + w, b)] = {n + i: c for i, c in out.items()}
-    for (w, a, b), out in act.R.items():
-        if out:
-            mu[(n + w, a, b)] = {n + i: c for i, c in out.items()}
-
-    return TernaryHomAlgebra(dim, mu, mat_block_diag(alg.alpha1, mod.beta1),
-                             mat_block_diag(alg.alpha2, mod.beta2),
-                             alg.radicand)
+    """The block product of A with V as the zero algebra twisted by beta."""
+    zero = TernaryHomAlgebra(mod.dim, {}, mod.beta1, mod.beta2)
+    return block_product(alg, zero, act, TrimoduleActions())

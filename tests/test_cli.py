@@ -147,3 +147,37 @@ def test_non_square_free_radicand_rejected(tmp_path):
     with pytest.raises(StructureFileError, match="square-free"):
         load_file(bad)
     assert main(["check", str(bad)]) == 2
+
+
+_ALGEBRA = {"kind": "algebra", "dim": 1, "radicand": 1,
+            "product": [{"args": [1, 1, 1], "out": {"1": "1"}}],
+            "alpha1": [["1"]], "alpha2": [["1"]]}
+_COALGEBRA = {"kind": "coalgebra", "dim": 1, "radicand": 1,
+              "coproduct": [{"arg": 1,
+                             "out": [{"into": [1, 1, 1], "coeff": "1"}]}],
+              "alpha1": [["1"]], "alpha2": [["1"]]}
+
+
+@pytest.mark.parametrize("doc", [
+    dict(_ALGEBRA, product=5),
+    dict(_ALGEBRA, product=[1]),
+    dict(_ALGEBRA, product={"a": 1}),
+    dict(_ALGEBRA, product=[{"args": [1, 1, 1], "out": ["1"]}]),
+    dict(_ALGEBRA, product=[{"args": [1, 1, 1], "out": {"x": "1"}}]),
+    dict(_ALGEBRA, product=[{"args": [1, 1, 1], "out": {"1.0": "1"}}]),
+    dict(_COALGEBRA, coproduct=["x"]),
+    dict(_COALGEBRA, coproduct=[{"arg": 1, "out": [7]}]),
+    dict(_COALGEBRA, coproduct=[{"arg": 1, "out": {"into": [1, 1, 1]}}]),
+    # the same 'into' twice in one entry
+    dict(_COALGEBRA, coproduct=[{"arg": 1, "out": [
+        {"into": [1, 1, 1], "coeff": "1"},
+        {"into": [1, 1, 1], "coeff": "2"}]}]),
+], ids=["product-int", "product-list-of-int", "product-object",
+        "out-list", "out-key-name", "out-key-float", "coproduct-list-of-str",
+        "coproduct-term-int", "coproduct-out-object", "duplicate-into"])
+def test_malformed_tensor_rejected(tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(StructureFileError):
+        load_file(bad)
+    assert main(["check", str(bad)]) == 2

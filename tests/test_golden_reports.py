@@ -9,7 +9,9 @@ tested on its own).  The groups cover
 * a seeded corpus of algebras, coalgebras, bialgebras, modules and
   matched pairs of dimensions 1 to 3, through every checker in every
   mode at violation caps 1, 10 and unlimited, with random (failing)
-  actions at the full trimodule and matched-pair levels.
+  actions at the full trimodule and matched-pair levels, and
+* the canonical dumps of semidirect and bicrossed products over seeded
+  random modules and matched pairs of dimensions 1 to 3.
 
 Regenerate the digests with ``PYTHONPATH=src python
 tests/test_golden_reports.py --record`` only when a change of reported
@@ -44,14 +46,19 @@ from ternalg.bialgebra import (
 from ternalg.cli import main
 from ternalg.coalgebra import TernaryHomCoalgebra, check_coalgebra_morphism
 from ternalg.linalg import mat_identity
-from ternalg.matched_pair import MatchedPairData, check_matched_pair
+from ternalg.matched_pair import (
+    MatchedPairData,
+    bicrossed_product,
+    check_matched_pair,
+)
 from ternalg.scalars import QuadScalar
-from ternalg.serialization import dump_structure
+from ternalg.serialization import dump_structure, dump_text
 from ternalg.trimodule import (
     BihomModule,
     TrimoduleActions,
     check_trimodule,
     regular_actions,
+    semidirect_product,
 )
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -268,13 +275,40 @@ def _matched_pair_entries(rng) -> dict:
     return groups
 
 
+def _with_zero_entries(act: TrimoduleActions) -> TrimoduleActions:
+    """The actions with an empty and an all-zero vector, which the
+    constructions must drop."""
+    act.M[(0, 0, 0)] = {}
+    act.R[(0, 0, 0)] = {0: QuadScalar(0)}
+    return act
+
+
+def _construction_entries(rng) -> dict:
+    groups = {}
+    for n, m, d in itertools.product((1, 2, 3), (1, 2, 3), (1, 2)):
+        alg = TernaryHomAlgebra(n, _tensor(rng, (n,) * 3, n, 0.4, d),
+                                _matrix(rng, n, d), _matrix(rng, n, d), d)
+        mod = BihomModule(m, _matrix(rng, m, d), _matrix(rng, m, d))
+        semi = semidirect_product(
+            alg, mod, _with_zero_entries(_actions(rng, n, m, 0.4, d)))
+        b = TernaryHomAlgebra(m, _tensor(rng, (m,) * 3, m, 0.4, d),
+                              _matrix(rng, m, d), _matrix(rng, m, d), d)
+        mp = MatchedPairData(alg, b,
+                             _with_zero_entries(_actions(rng, n, m, 0.4, d)),
+                             _with_zero_entries(_actions(rng, m, n, 0.4, d)))
+        groups[f"constructions/d{n}x{m}r{d}"] = [
+            dump_text(semi), dump_text(bicrossed_product(mp))]
+    return groups
+
+
 def compute() -> dict:
     digests = {}
     for path in sorted(FIXTURES.glob("*.json")):
         digests[f"cli/{path.stem}"] = _digest(_cli_entries(path))
     rng = random.Random(SEED)
     for family in (_algebra_entries, _coalgebra_entries, _bialgebra_entries,
-                   _trimodule_entries, _matched_pair_entries):
+                   _trimodule_entries, _matched_pair_entries,
+                   _construction_entries):
         for name, entries in family(rng).items():
             digests[name] = _digest(entries)
     return digests

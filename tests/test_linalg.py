@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from ternalg.linalg import (
     mat_is_identity,
     mat_mul,
     mat_transpose,
+    trilinear,
     vec_add_into,
 )
 from ternalg.scalars import ONE, ZERO, QuadScalar
@@ -93,3 +96,38 @@ def test_inverse_round_trip(a):
 @given(square_matrices(), square_matrices())
 def test_transpose_antihomomorphism(a, b):
     assert mat_transpose(mat_mul(a, b)) == mat_mul(mat_transpose(b), mat_transpose(a))
+
+
+def _trilinear_by_definition(tensor, x, y, z):
+    """The sum over every index triple of {0, 1, 2}^3, zeros included."""
+    out = {}
+    for r, s, t in itertools.product(range(3), repeat=3):
+        coeff = x.get(r, ZERO) * y.get(s, ZERO) * z.get(t, ZERO)
+        for l, c in tensor.get((r, s, t), {}).items():
+            out[l] = out.get(l, ZERO) + coeff * c
+    return {l: c for l, c in out.items() if c}
+
+
+_index = st.integers(0, 2)
+_coeff = st.sampled_from([q(1), q(-1), q(2), q("-1/2"), QuadScalar(0, 1, 2),
+                          QuadScalar(0, -1, 2)])
+_sparse = st.dictionaries(_index, _coeff, max_size=3)
+
+
+def test_trilinear_cancels_and_skips_absent_entries():
+    tensor = {(0, 0, 0): {0: q(1), 1: q(2)}, (0, 0, 1): {0: q(1)},
+              (1, 1, 1): {}}
+    x, y = {0: q(1), 1: q(3)}, {0: q(1), 1: q(5)}
+    # the two e_0 terms cancel; (1, 1, 1) is empty and (1, 0, 0) absent
+    assert trilinear(tensor, x, y, {0: q(1), 1: q(-1)}) == {1: q(2)}
+    for args in (({}, y, {0: ONE}), (x, {}, {0: ONE}), (x, y, {})):
+        assert trilinear(tensor, *args) == {}
+    assert trilinear({}, x, y, {0: ONE}) == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(_index, _index, _index), _sparse,
+                       max_size=8), _sparse, _sparse, _sparse)
+def test_trilinear_matches_definition(tensor, x, y, z):
+    assert trilinear(tensor, x, y, z) == \
+        _trilinear_by_definition(tensor, x, y, z)
