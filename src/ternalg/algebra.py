@@ -24,6 +24,7 @@ from .linalg import (
     mat_invertible,
     mat_is_identity,
     mat_mul,
+    mat_radicand,
     trilinear,
 )
 from .report import (
@@ -35,6 +36,7 @@ from .report import (
     difference,
     mode_laws,
     mode_residuals,
+    vec_str,
 )
 from .scalars import ONE as _ONE, ZERO as _ZERO
 
@@ -107,7 +109,7 @@ class TernaryHomAlgebra:
         laws = mode_laws("assoc", ("qt1a", "qt1b", "qp1", "qw1"), mode)
         check_laws(laws, mode_residuals(mode, VECTOR),
                    product(range(self.dim), repeat=5), self._assoc_terms,
-                   _vec_str, max_violations)
+                   vec_str, max_violations)
         return Report(laws)
 
     # -- multiplicativity of the twists ---------------------------------
@@ -149,17 +151,8 @@ class TernaryHomAlgebra:
         for key, vec in self.mu.items():
             mu_new[key] = mat_apply(rho, vec)
         # an irrational endomorphism widens the scalar field of the result
-        rad = self.radicand
-        for row in rho:
-            for x in row:
-                if x.d != 1:
-                    rad = x.d
-        return TernaryHomAlgebra(self.dim, mu_new, rho, rho, rad)
-
-
-def _vec_str(vec: SparseVec) -> str:
-    parts = [f"e{i + 1}: {vec[i]}" for i in sorted(vec)]
-    return "{" + ", ".join(parts) + "}"
+        return TernaryHomAlgebra(self.dim, mu_new, rho, rho,
+                                 mat_radicand(rho, self.radicand))
 
 
 def _product_defects(f: Matrix, a: TernaryHomAlgebra, b: TernaryHomAlgebra,
@@ -173,7 +166,7 @@ def _product_defects(f: Matrix, a: TernaryHomAlgebra, b: TernaryHomAlgebra,
                 b.mu_vec(cols[r], cols[s], cols[t]))
 
     check_laws([lr], [difference], product(range(a.dim), repeat=3), members,
-               _vec_str, cap)
+               vec_str, cap)
 
 
 def twist_intertwining(f: Matrix, a, b, kind: str, tag: str,
@@ -191,7 +184,7 @@ def twist_intertwining(f: Matrix, a, b, kind: str, tag: str,
         lhs, rhs = mat_mul(f, am), mat_mul(bm, f)
         check_laws([lr], [difference], product(range(len(f))),
                    lambda j: (mat_column(lhs, j[0]), mat_column(rhs, j[0])),
-                   _vec_str, cap)
+                   vec_str, cap)
     return laws
 
 

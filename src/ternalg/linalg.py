@@ -158,6 +158,12 @@ def mat_columns(a: Matrix) -> list[SparseVec]:
     return [mat_column(a, j) for j in range(len(a))]
 
 
+def mat_radicand(a: Matrix, radicand: int = 1) -> int:
+    """The radicand of the last irrational entry of ``a``, else ``radicand``."""
+    found = [x.d for row in a for x in row if x.d != 1]
+    return found[-1] if found else radicand
+
+
 def mat_apply(a: Matrix, vec: SparseVec) -> SparseVec:
     out: SparseVec = {}
     for j, coeff in vec.items():

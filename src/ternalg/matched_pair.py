@@ -29,11 +29,11 @@ from .scalars import ONE
 from .trimodule import (
     BihomModule,
     TrimoduleActions,
-    _vstr,
     block_product,
     braiding_laws,
     check_trimodule,
     intertwining_laws,
+    module_vec_str,
 )
 
 
@@ -172,7 +172,7 @@ def check_matched_pair(mp: MatchedPairData, mode: str = "total",
                    product(*(range(len(basis)) for basis in bases)),
                    lambda idx: members(*(basis[i]
                                          for basis, i in zip(bases, idx))),
-                   _vstr, max_violations)
+                   module_vec_str, max_violations)
 
     if full:
         # the braiding and intertwining laws of both action triples

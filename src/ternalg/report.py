@@ -135,6 +135,12 @@ def itself(residual):
     return residual
 
 
+def vec_str(vec: dict, basis: str = "e") -> str:
+    """A sparse-vector residual as ``{e1: c, e3: c'}``, in index order."""
+    return "{" + ", ".join(f"{basis}{i + 1}: {vec[i]}"
+                           for i in sorted(vec)) + "}"
+
+
 def check_laws(laws: list[LawReport], residuals: list, indices, members,
                fmt, cap: int) -> None:
     """Record the first ``cap`` nonzero residuals of each law over ``indices``.

@@ -10,12 +10,13 @@ byte-stable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .algebra import MuTensor, TernaryHomAlgebra
 from .bialgebra import TernaryBialgebra
 from .coalgebra import DeltaTensor, TernaryHomCoalgebra
-from .linalg import Matrix
+from .linalg import Matrix, mat_radicand
 from .matched_pair import MatchedPairData
 from .scalars import MAX_RADICAND, format_scalar, parse_scalar, square_free
 from .trimodule import BihomModule, TrimoduleActions
@@ -47,8 +48,13 @@ def _scalar(text, radicand):
         raise StructureFileError(f"bad scalar {text!r}: {exc}") from exc
 
 
+def _is_count(value, top=math.inf) -> bool:
+    """A JSON integer, not a boolean, in 1..top."""
+    return type(value) is int and 1 <= value <= top
+
+
 def _index(value, dim, what):
-    _require(isinstance(value, int) and 1 <= value <= dim,
+    _require(_is_count(value, dim),
              f"{what} index {value!r} out of range 1..{dim}")
     return value - 1
 
@@ -96,9 +102,9 @@ def _load_product(entries, dims, out_dim, radicand) -> MuTensor:
     return mu
 
 
-def _load_coproduct(entries, dim, radicand) -> DeltaTensor:
+def _load_coproduct(doc, dim, radicand) -> DeltaTensor:
     delta: DeltaTensor = {}
-    for entry in _entries(entries, "coproduct"):
+    for entry in _entries(doc.get("coproduct"), "coproduct"):
         l = _index(entry.get("arg"), dim, "coproduct")
         terms = entry.get("out", [])
         _require(isinstance(terms, list), "coproduct 'out' must be a list")
@@ -132,176 +138,161 @@ def _dump_product(mu: MuTensor):
     ]
 
 
-def _dump_coproduct(delta: DeltaTensor):
-    return [
+def _dump_coproduct(delta: DeltaTensor) -> dict:
+    return {"coproduct": [
         {"arg": l + 1,
          "out": [{"into": [i + 1 for i in key],
                   "coeff": format_scalar(delta[l][key])}
                  for key in sorted(delta[l])]}
         for l in sorted(delta)
-    ]
+    ]}
 
 
-def _common(doc):
+def _load_header(doc):
     _require(isinstance(doc, dict), "structure file must be a JSON object")
     kind = doc.get("kind")
     _require(kind in KINDS, f"unknown kind {kind!r}")
-    dim = doc.get("dim")
-    _require(isinstance(dim, int) and dim >= 1, "dim must be a positive int")
+    dim, dim_v = doc.get("dim"), doc.get("dim_v")
+    _require(_is_count(dim), "dim must be a positive int")
+    _require(kind not in ("module", "matched_pair") or _is_count(dim_v),
+             "dim_v must be a positive int")
     radicand = doc.get("radicand", 1)
-    _require(isinstance(radicand, int) and 1 <= radicand <= MAX_RADICAND
+    _require(_is_count(radicand, MAX_RADICAND)
              and square_free(radicand)[0] == 1,
              f"radicand {radicand!r} is not a square-free int in "
              f"1..{MAX_RADICAND}")
-    return kind, dim, radicand
+    return kind, dim, dim_v, radicand
+
+
+# -- the document layout.  A document is a header and a run of parts: an
+# algebra block (a product and its twists), an action triple, a twist pair
+# or a coproduct.  Loading and dumping take a part's keys from one tuple.
+
+ALGEBRA = ("product", "alpha1", "alpha2")
+ALGEBRA_B = ("product_b", "beta1", "beta2")
+ACTIONS = ("left", "right", "middle")
+ACTIONS_A = ("a_left", "a_right", "a_middle")
+ACTIONS_B = ("b_left", "b_right", "b_middle")
+
+
+def _load_twists(doc, keys, dim, radicand) -> list[Matrix]:
+    return [_load_matrix(doc.get(key), dim, radicand, key) for key in keys]
+
+
+def _dump_twists(keys, twists) -> dict:
+    return {key: _dump_matrix(m) for key, m in zip(keys, twists)}
+
+
+def _load_algebra(doc, keys, dim, radicand) -> TernaryHomAlgebra:
+    return TernaryHomAlgebra(
+        dim, _load_product(doc.get(keys[0]), (dim,) * 3, dim, radicand),
+        *_load_twists(doc, keys[1:], dim, radicand), radicand)
+
+
+def _dump_algebra(keys, alg: TernaryHomAlgebra) -> dict:
+    return {keys[0]: _dump_product(alg.mu),
+            **_dump_twists(keys[1:], (alg.alpha1, alg.alpha2))}
+
+
+def _load_actions(doc, keys, n, m, radicand) -> TrimoduleActions:
+    """The actions of an n-dimensional algebra on an m-dimensional space."""
+    shapes = ((n, n, m), (m, n, n), (n, m, n))
+    return TrimoduleActions(*(_load_product(doc.get(key), shape, m, radicand)
+                              for key, shape in zip(keys, shapes)))
+
+
+def _dump_actions(keys, act: TrimoduleActions) -> dict:
+    return {key: _dump_product(t)
+            for key, t in zip(keys, (act.L, act.R, act.M))}
+
+
+def _dump_header(kind, obj, dim_v=None) -> dict:
+    head = {"kind": kind, "dim": obj.dim, "dim_v": dim_v,
+            "radicand": obj.radicand}
+    return {key: value for key, value in head.items() if value is not None}
 
 
 def load_structure(doc):
     """Parse a structure document into the matching library object."""
-    kind, dim, radicand = _common(doc)
+    kind, dim, dim_v, radicand = _load_header(doc)
     if kind == "map":
         return _load_matrix(doc.get("matrix"), dim, radicand, "matrix")
-    if kind == "algebra":
-        return TernaryHomAlgebra(
-            dim, _load_product(doc.get("product"), (dim,) * 3, dim, radicand),
-            _load_matrix(doc.get("alpha1"), dim, radicand, "alpha1"),
-            _load_matrix(doc.get("alpha2"), dim, radicand, "alpha2"),
-            radicand)
     if kind == "coalgebra":
         return TernaryHomCoalgebra(
-            dim, _load_coproduct(doc.get("coproduct"), dim, radicand),
-            _load_matrix(doc.get("alpha1"), dim, radicand, "alpha1"),
-            _load_matrix(doc.get("alpha2"), dim, radicand, "alpha2"),
-            radicand)
+            dim, _load_coproduct(doc, dim, radicand),
+            *_load_twists(doc, ALGEBRA[1:], dim, radicand), radicand)
+    alg = _load_algebra(doc, ALGEBRA, dim, radicand)
+    if kind == "algebra":
+        return alg
     if kind == "bialgebra":
-        a1 = _load_matrix(doc.get("alpha1"), dim, radicand, "alpha1")
-        a2 = _load_matrix(doc.get("alpha2"), dim, radicand, "alpha2")
-        return TernaryBialgebra(
-            TernaryHomAlgebra(
-                dim, _load_product(doc.get("product"), (dim,) * 3, dim,
-                                   radicand), a1, a2, radicand),
-            TernaryHomCoalgebra(
-                dim, _load_coproduct(doc.get("coproduct"), dim, radicand),
-                a1, a2, radicand))
+        return TernaryBialgebra(alg, TernaryHomCoalgebra(
+            dim, _load_coproduct(doc, dim, radicand), alg.alpha1, alg.alpha2,
+            radicand))
     if kind == "module":
-        dim_v = doc.get("dim_v")
-        _require(isinstance(dim_v, int) and dim_v >= 1,
-                 "dim_v must be a positive int")
-        alg = TernaryHomAlgebra(
-            dim, _load_product(doc.get("product"), (dim,) * 3, dim, radicand),
-            _load_matrix(doc.get("alpha1"), dim, radicand, "alpha1"),
-            _load_matrix(doc.get("alpha2"), dim, radicand, "alpha2"),
-            radicand)
-        mod = BihomModule(
-            dim_v,
-            _load_matrix(doc.get("beta1"), dim_v, radicand, "beta1"),
-            _load_matrix(doc.get("beta2"), dim_v, radicand, "beta2"))
-        act = TrimoduleActions(
-            _load_product(doc.get("left"), (dim, dim, dim_v), dim_v,
-                          radicand),
-            _load_product(doc.get("right"), (dim_v, dim, dim), dim_v,
-                          radicand),
-            _load_product(doc.get("middle"), (dim, dim_v, dim), dim_v,
-                          radicand))
-        return ModuleBundle(alg, mod, act)
+        return ModuleBundle(
+            alg, BihomModule(dim_v, *_load_twists(doc, ALGEBRA_B[1:], dim_v,
+                                                  radicand)),
+            _load_actions(doc, ACTIONS, dim, dim_v, radicand))
     # matched pair: dim is the first factor, dim_v the second
-    dim_v = doc.get("dim_v")
-    _require(isinstance(dim_v, int) and dim_v >= 1,
-             "dim_v must be a positive int")
-    a = TernaryHomAlgebra(
-        dim, _load_product(doc.get("product"), (dim,) * 3, dim, radicand),
-        _load_matrix(doc.get("alpha1"), dim, radicand, "alpha1"),
-        _load_matrix(doc.get("alpha2"), dim, radicand, "alpha2"),
-        radicand)
-    b = TernaryHomAlgebra(
-        dim_v,
-        _load_product(doc.get("product_b"), (dim_v,) * 3, dim_v, radicand),
-        _load_matrix(doc.get("beta1"), dim_v, radicand, "beta1"),
-        _load_matrix(doc.get("beta2"), dim_v, radicand, "beta2"),
-        radicand)
-    act_a = TrimoduleActions(
-        _load_product(doc.get("a_left"), (dim, dim, dim_v), dim_v, radicand),
-        _load_product(doc.get("a_right"), (dim_v, dim, dim), dim_v, radicand),
-        _load_product(doc.get("a_middle"), (dim, dim_v, dim), dim_v,
-                      radicand))
-    act_b = TrimoduleActions(
-        _load_product(doc.get("b_left"), (dim_v, dim_v, dim), dim, radicand),
-        _load_product(doc.get("b_right"), (dim, dim_v, dim_v), dim, radicand),
-        _load_product(doc.get("b_middle"), (dim_v, dim, dim_v), dim,
-                      radicand))
-    return MatchedPairData(a, b, act_a, act_b)
+    return MatchedPairData(
+        alg, _load_algebra(doc, ALGEBRA_B, dim_v, radicand),
+        _load_actions(doc, ACTIONS_A, dim, dim_v, radicand),
+        _load_actions(doc, ACTIONS_B, dim_v, dim, radicand))
 
 
 def dump_structure(obj) -> dict:
-    """Render a library object as a canonical structure document.
-
-    A bare matrix takes its radicand from its entries; every other object
-    carries its own.
-    """
+    """Render a library object as a canonical structure document; a bare
+    matrix takes its radicand from its entries."""
     if isinstance(obj, list):  # a bare matrix
-        radicand = 1
-        for row in obj:
-            for x in row:
-                if x.d != 1:
-                    radicand = x.d
-        return {"kind": "map", "dim": len(obj), "radicand": radicand,
+        return {"kind": "map", "dim": len(obj), "radicand": mat_radicand(obj),
                 "matrix": _dump_matrix(obj)}
     if isinstance(obj, TernaryHomAlgebra):
-        return {"kind": "algebra", "dim": obj.dim, "radicand": obj.radicand,
-                "product": _dump_product(obj.mu),
-                "alpha1": _dump_matrix(obj.alpha1),
-                "alpha2": _dump_matrix(obj.alpha2)}
+        return _dump_header("algebra", obj) | _dump_algebra(ALGEBRA, obj)
     if isinstance(obj, TernaryHomCoalgebra):
-        return {"kind": "coalgebra", "dim": obj.dim, "radicand": obj.radicand,
-                "coproduct": _dump_coproduct(obj.delta),
-                "alpha1": _dump_matrix(obj.alpha1),
-                "alpha2": _dump_matrix(obj.alpha2)}
+        return (_dump_header("coalgebra", obj) | _dump_coproduct(obj.delta)
+                | _dump_twists(ALGEBRA[1:], (obj.alpha1, obj.alpha2)))
     if isinstance(obj, TernaryBialgebra):
-        return {"kind": "bialgebra", "dim": obj.dim,
-                "radicand": obj.alg.radicand,
-                "product": _dump_product(obj.alg.mu),
-                "coproduct": _dump_coproduct(obj.coalg.delta),
-                "alpha1": _dump_matrix(obj.alpha1),
-                "alpha2": _dump_matrix(obj.alpha2)}
+        return (_dump_header("bialgebra", obj.alg)
+                | {ALGEBRA[0]: _dump_product(obj.alg.mu)}
+                | _dump_coproduct(obj.coalg.delta)
+                | _dump_twists(ALGEBRA[1:], (obj.alpha1, obj.alpha2)))
     if isinstance(obj, ModuleBundle):
-        return {"kind": "module", "dim": obj.algebra.dim,
-                "dim_v": obj.module.dim, "radicand": obj.algebra.radicand,
-                "product": _dump_product(obj.algebra.mu),
-                "alpha1": _dump_matrix(obj.algebra.alpha1),
-                "alpha2": _dump_matrix(obj.algebra.alpha2),
-                "beta1": _dump_matrix(obj.module.beta1),
-                "beta2": _dump_matrix(obj.module.beta2),
-                "left": _dump_product(obj.actions.L),
-                "right": _dump_product(obj.actions.R),
-                "middle": _dump_product(obj.actions.M)}
+        mod = obj.module
+        return (_dump_header("module", obj.algebra, mod.dim)
+                | _dump_algebra(ALGEBRA, obj.algebra)
+                | _dump_twists(ALGEBRA_B[1:], (mod.beta1, mod.beta2))
+                | _dump_actions(ACTIONS, obj.actions))
     if isinstance(obj, MatchedPairData):
-        return {"kind": "matched_pair", "dim": obj.A.dim, "dim_v": obj.B.dim,
-                "radicand": obj.A.radicand,
-                "product": _dump_product(obj.A.mu),
-                "alpha1": _dump_matrix(obj.A.alpha1),
-                "alpha2": _dump_matrix(obj.A.alpha2),
-                "product_b": _dump_product(obj.B.mu),
-                "beta1": _dump_matrix(obj.B.alpha1),
-                "beta2": _dump_matrix(obj.B.alpha2),
-                "a_left": _dump_product(obj.actA.L),
-                "a_right": _dump_product(obj.actA.R),
-                "a_middle": _dump_product(obj.actA.M),
-                "b_left": _dump_product(obj.actB.L),
-                "b_right": _dump_product(obj.actB.R),
-                "b_middle": _dump_product(obj.actB.M)}
+        return (_dump_header("matched_pair", obj.A, obj.B.dim)
+                | _dump_algebra(ALGEBRA, obj.A) | _dump_algebra(ALGEBRA_B, obj.B)
+                | _dump_actions(ACTIONS_A, obj.actA)
+                | _dump_actions(ACTIONS_B, obj.actB))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object, refused if it names a key twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            _require(key not in seen, f"duplicate key {key!r} in an object")
+            seen.add(key)
+    return obj
 
 
 def load_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise StructureFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise StructureFileError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise StructureFileError(f"{path}: not decodable: {exc}") from exc
     return load_structure(doc)
 
 

@@ -15,6 +15,7 @@ tensor slot, op_M(x, y)(v) with v in the middle slot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 from .algebra import MuTensor, TernaryHomAlgebra
@@ -35,6 +36,7 @@ from .report import (
     check_mode,
     difference,
     mode_residuals,
+    vec_str,
 )
 from .scalars import ONE
 
@@ -68,8 +70,8 @@ class TrimoduleActions:
         return trilinear(self.M, x, v, y)
 
 
-def _vstr(vec: SparseVec) -> str:
-    return "{" + ", ".join(f"f{i + 1}: {vec[i]}" for i in sorted(vec)) + "}"
+# residuals on the module's basis f1, f2, ...
+module_vec_str = partial(vec_str, basis="f")
 
 
 def check_trimodule(alg: TernaryHomAlgebra, mod: BihomModule,
@@ -126,7 +128,7 @@ def check_trimodule(alg: TernaryHomAlgebra, mod: BihomModule,
         check_laws([lr], residual,
                    product(range(n), range(n), range(n), range(n), range(m)),
                    lambda idx: members(*(ea[i] for i in idx[:4]), fv[idx[4]]),
-                   _vstr, max_violations)
+                   module_vec_str, max_violations)
 
     if level == "full":
         braids = [LawReport(f"trimodule.{prefix}{num}", f"{prefix}{num}")
@@ -162,7 +164,7 @@ def braiding_laws(alg: TernaryHomAlgebra, mod: BihomModule,
 
         check_laws([lr], [difference],
                    product(*[range(alg.dim)] * 6, range(mod.dim)), members,
-                   _vstr, cap)
+                   module_vec_str, cap)
 
 
 def intertwining_laws(alg: TernaryHomAlgebra, mod: BihomModule,
@@ -182,7 +184,7 @@ def intertwining_laws(alg: TernaryHomAlgebra, mod: BihomModule,
 
         check_laws([lr], [difference],
                    product(range(alg.dim), range(alg.dim), range(mod.dim)),
-                   members, _vstr, cap)
+                   members, module_vec_str, cap)
 
 
 def regular_actions(alg: TernaryHomAlgebra, which: str = "lmr"

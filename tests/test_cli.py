@@ -172,12 +172,39 @@ _COALGEBRA = {"kind": "coalgebra", "dim": 1, "radicand": 1,
     dict(_COALGEBRA, coproduct=[{"arg": 1, "out": [
         {"into": [1, 1, 1], "coeff": "1"},
         {"into": [1, 1, 1], "coeff": "2"}]}]),
+    # JSON booleans are not counts, although Python's True is the int 1
+    dict(_ALGEBRA, product=[{"args": [True, 1, 1], "out": {"1": "1"}}]),
+    dict(_COALGEBRA, coproduct=[{"arg": True, "out": [
+        {"into": [1, 1, 1], "coeff": "1"}]}]),
+    dict(_ALGEBRA, dim=True),
+    dict(_ALGEBRA, radicand=True),
 ], ids=["product-int", "product-list-of-int", "product-object",
         "out-list", "out-key-name", "out-key-float", "coproduct-list-of-str",
-        "coproduct-term-int", "coproduct-out-object", "duplicate-into"])
+        "coproduct-term-int", "coproduct-out-object", "duplicate-into",
+        "args-bool", "arg-bool", "dim-bool", "radicand-bool"])
 def test_malformed_tensor_rejected(tmp_path, doc):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
+    with pytest.raises(StructureFileError):
+        load_file(bad)
+    assert main(["check", str(bad)]) == 2
+
+
+_ALGEBRA_TEXT = json.dumps(_ALGEBRA)
+
+
+@pytest.mark.parametrize("raw", [
+    _ALGEBRA_TEXT.replace('"out": {"1": "1"}', '"out": {"1": "1", "1": "0"}'),
+    _ALGEBRA_TEXT.replace('"dim": 1', '"dim": 1, "dim": 1'),
+    "[" * 200000 + "]" * 200000,
+    b"\xff\xfe{}",
+], ids=["repeated-out-key", "repeated-dim", "nested-too-deep", "not-utf8"])
+def test_malformed_json_rejected(tmp_path, raw):
+    bad = tmp_path / "bad.json"
+    if isinstance(raw, str):
+        bad.write_text(raw, encoding="utf-8")
+    else:
+        bad.write_bytes(raw)
     with pytest.raises(StructureFileError):
         load_file(bad)
     assert main(["check", str(bad)]) == 2

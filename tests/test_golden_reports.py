@@ -11,7 +11,10 @@ tested on its own).  The groups cover
   mode at violation caps 1, 10 and unlimited, with random (failing)
   actions at the full trimodule and matched-pair levels, and
 * the canonical dumps of semidirect and bicrossed products over seeded
-  random modules and matched pairs of dimensions 1 to 3.
+  random modules and matched pairs of dimensions 1 to 3, and
+* the canonical dump of a seeded object of every structure kind, of
+  dimensions 1 to 3 and radicands 1 and 2, and the dump of that document
+  reloaded.
 
 Regenerate the digests with ``PYTHONPATH=src python
 tests/test_golden_reports.py --record`` only when a change of reported
@@ -52,7 +55,12 @@ from ternalg.matched_pair import (
     check_matched_pair,
 )
 from ternalg.scalars import QuadScalar
-from ternalg.serialization import dump_structure, dump_text
+from ternalg.serialization import (
+    ModuleBundle,
+    dump_structure,
+    dump_text,
+    load_structure,
+)
 from ternalg.trimodule import (
     BihomModule,
     TrimoduleActions,
@@ -301,6 +309,32 @@ def _construction_entries(rng) -> dict:
     return groups
 
 
+def _dump_entries(rng) -> dict:
+    """Each kind's dump, and the dump of that document loaded back."""
+    groups = {}
+    for n, m, d in itertools.product((1, 2, 3), (1, 2, 3), (1, 2)):
+        alg = TernaryHomAlgebra(n, _tensor(rng, (n,) * 3, n, 0.4, d),
+                                _matrix(rng, n, d), _matrix(rng, n, d), d)
+        b = TernaryHomAlgebra(m, _tensor(rng, (m,) * 3, m, 0.4, d),
+                              _matrix(rng, m, d), _matrix(rng, m, d), d)
+        a1, a2 = _matrix(rng, n, d), _matrix(rng, n, d)
+        objs = [
+            ModuleBundle(alg, BihomModule(m, b.alpha1, b.alpha2),
+                         _actions(rng, n, m, 0.4, d)),
+            MatchedPairData(alg, b, _actions(rng, n, m, 0.4, d),
+                            _actions(rng, m, n, 0.4, d))]
+        if m == 1:  # the one-space kinds vary n and d only
+            objs += [
+                _matrix(rng, n, d), alg,
+                TernaryHomCoalgebra(n, _coproduct(rng, n, 0.3, d), a1, a2, d),
+                bialgebra(n, _tensor(rng, (n,) * 3, n, 0.3, d),
+                          _coproduct(rng, n, 0.3, d), a1, a2, d)]
+        texts = [dump_text(obj) for obj in objs]
+        groups[f"dumps/d{n}x{m}r{d}"] = texts + [
+            dump_text(load_structure(json.loads(text))) for text in texts]
+    return groups
+
+
 def compute() -> dict:
     digests = {}
     for path in sorted(FIXTURES.glob("*.json")):
@@ -308,7 +342,7 @@ def compute() -> dict:
     rng = random.Random(SEED)
     for family in (_algebra_entries, _coalgebra_entries, _bialgebra_entries,
                    _trimodule_entries, _matched_pair_entries,
-                   _construction_entries):
+                   _construction_entries, _dump_entries):
         for name, entries in family(rng).items():
             digests[name] = _digest(entries)
     return digests
