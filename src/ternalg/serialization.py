@@ -21,7 +21,25 @@ from .matched_pair import MatchedPairData
 from .scalars import MAX_RADICAND, format_scalar, parse_scalar, square_free
 from .trimodule import BihomModule, TrimoduleActions
 
-KINDS = ("algebra", "coalgebra", "bialgebra", "module", "matched_pair", "map")
+# -- the document layout: parts whose keys loading and dumping take from one
+# tuple, and for each kind every key it needs besides "kind" and "dim"
+# ("radicand" may be left out).
+
+ALGEBRA = ("product", "alpha1", "alpha2")
+ALGEBRA_B = ("product_b", "beta1", "beta2")
+ACTIONS = ("left", "right", "middle")
+ACTIONS_A = ("a_left", "a_right", "a_middle")
+ACTIONS_B = ("b_left", "b_right", "b_middle")
+
+LAYOUT = {
+    "algebra": ALGEBRA,
+    "coalgebra": ("coproduct", *ALGEBRA[1:]),
+    "bialgebra": (*ALGEBRA, "coproduct"),
+    "module": ("dim_v", *ALGEBRA, *ALGEBRA_B[1:], *ACTIONS),
+    "matched_pair": ("dim_v", *ALGEBRA, *ALGEBRA_B, *ACTIONS_A, *ACTIONS_B),
+    "map": ("matrix",),
+}
+KINDS = tuple(LAYOUT)
 
 
 class StructureFileError(ValueError):
@@ -41,11 +59,24 @@ def _require(cond, msg):
         raise StructureFileError(msg)
 
 
-def _scalar(text, radicand):
-    try:
-        return parse_scalar(str(text), radicand)
-    except ValueError as exc:
-        raise StructureFileError(f"bad scalar {text!r}: {exc}") from exc
+def _reader(radicand):
+    """``read(text)``: a literal's scalar, each distinct string parsed once.
+    The memo lives for one load, so that another file's radicand still
+    judges the same literal."""
+    memo = {}
+
+    def read(text):
+        if type(text) is str and text in memo:
+            return memo[text]
+        try:
+            x = parse_scalar(str(text), radicand)
+        except ValueError as exc:
+            raise StructureFileError(f"bad scalar {text!r}: {exc}") from exc
+        if type(text) is str:
+            memo[text] = x
+        return x
+
+    return read
 
 
 def _is_count(value, top=math.inf) -> bool:
@@ -54,19 +85,20 @@ def _is_count(value, top=math.inf) -> bool:
 
 
 def _index(value, dim, what):
-    _require(_is_count(value, dim),
-             f"{what} index {value!r} out of range 1..{dim}")
+    if not _is_count(value, dim):
+        raise StructureFileError(
+            f"{what} index {value!r} out of range 1..{dim}")
     return value - 1
 
 
-def _load_matrix(rows, dim, radicand, name) -> Matrix:
+def _load_matrix(rows, dim, read, name) -> Matrix:
     _require(isinstance(rows, list) and len(rows) == dim,
              f"{name} must have {dim} rows")
     out = []
     for row in rows:
         _require(isinstance(row, list) and len(row) == dim,
                  f"{name} must have {dim} columns")
-        out.append([_scalar(x, radicand) for x in row])
+        out.append([read(x) for x in row])
     return out
 
 
@@ -79,32 +111,39 @@ def _entries(entries, what):
         yield entry
 
 
-def _load_product(entries, dims, out_dim, radicand) -> MuTensor:
-    """dims gives the admissible range per argument slot."""
+def _load_product(entries, dims, out_dim, read) -> MuTensor:
+    """dims bounds each argument slot; no entry may repeat, even as zero."""
+    n1, n2, n3 = dims
     mu: MuTensor = {}
     for entry in _entries(entries, "product"):
         args = entry.get("args")
         _require(isinstance(args, list) and len(args) == 3,
                  "product entry needs 3 args")
-        key = tuple(_index(a, d, "product") for a, d in zip(args, dims))
+        a, b, c = args
+        if not (type(a) is int and type(b) is int and type(c) is int
+                and 1 <= a <= n1 and 1 <= b <= n2 and 1 <= c <= n3):
+            for i, n in zip(args, dims):
+                _index(i, n, "product")
         out = entry.get("out", {})
         _require(isinstance(out, dict), "product 'out' must be an object")
         vec = {}
         for l, text in out.items():
-            _require(l.isdecimal(), f"product output index {l!r} is not "
-                     "an integer")
-            coeff = _scalar(text, radicand)
+            if not l.isdecimal():
+                raise StructureFileError(
+                    f"product output index {l!r} is not an integer")
+            coeff = read(text)
             if coeff:
                 vec[_index(int(l), out_dim, "product output")] = coeff
-        if vec:
-            _require(key not in mu, f"duplicate product entry {args}")
-            mu[key] = vec
-    return mu
+        key = (a - 1, b - 1, c - 1)
+        if key in mu:
+            raise StructureFileError(f"duplicate product entry {args}")
+        mu[key] = vec
+    return {key: vec for key, vec in mu.items() if vec}
 
 
-def _load_coproduct(doc, dim, radicand) -> DeltaTensor:
+def _load_coproduct(entries, dim, read) -> DeltaTensor:
     delta: DeltaTensor = {}
-    for entry in _entries(doc.get("coproduct"), "coproduct"):
+    for entry in _entries(entries, "coproduct"):
         l = _index(entry.get("arg"), dim, "coproduct")
         terms = entry.get("out", [])
         _require(isinstance(terms, list), "coproduct 'out' must be a list")
@@ -115,94 +154,95 @@ def _load_coproduct(doc, dim, radicand) -> DeltaTensor:
             _require(isinstance(into, list) and len(into) == 3,
                      "coproduct term needs a 3-index 'into'")
             key = tuple(_index(i, dim, "coproduct") for i in into)
-            _require(key not in tens,
-                     f"duplicate coproduct term {into} in entry {l + 1}")
-            tens[key] = _scalar(item.get("coeff"), radicand)
-        tens = {key: coeff for key, coeff in tens.items() if coeff}
-        if tens:
-            _require(l not in delta, f"duplicate coproduct entry {l + 1}")
-            delta[l] = tens
-    return delta
+            if key in tens:
+                raise StructureFileError(
+                    f"duplicate coproduct term {into} in entry {l + 1}")
+            tens[key] = read(item.get("coeff"))
+        _require(l not in delta, f"duplicate coproduct entry {l + 1}")
+        delta[l] = tens
+    return delta  # the coalgebra drops its zeros
 
 
-def _dump_matrix(m: Matrix):
-    return [[format_scalar(x) for x in row] for row in m]
+class _Literals(dict):
+    """Canonical literals by scalar, each formatted once per dump."""
+
+    def __missing__(self, x):
+        text = self[x] = format_scalar(x)
+        return text
 
 
-def _dump_product(mu: MuTensor):
-    return [
-        {"args": [i + 1 for i in key],
-         "out": {str(l + 1): format_scalar(v)
-                 for l, v in sorted(mu[key].items())}}
-        for key in sorted(mu)
-    ]
+def _dump_matrix(m: Matrix, lit: _Literals):
+    return [[lit[x] for x in row] for row in m]
 
 
-def _dump_coproduct(delta: DeltaTensor) -> dict:
+def _dump_product(mu: MuTensor, lit: _Literals):
+    """Entries by index, without zero coefficients or empty entries."""
+    entries = []
+    for key in sorted(mu):
+        out = {str(l + 1): text for l, v in sorted(mu[key].items())
+               if (text := lit[v]) != "0"}
+        if out:
+            entries.append({"args": [i + 1 for i in key], "out": out})
+    return entries
+
+
+def _dump_coproduct(delta: DeltaTensor, lit: _Literals) -> dict:
     return {"coproduct": [
         {"arg": l + 1,
-         "out": [{"into": [i + 1 for i in key],
-                  "coeff": format_scalar(delta[l][key])}
+         "out": [{"into": [i + 1 for i in key], "coeff": lit[delta[l][key]]}
                  for key in sorted(delta[l])]}
         for l in sorted(delta)
     ]}
 
 
 def _load_header(doc):
+    """(kind, dim, dim_v, radicand) of a document with its kind's keys."""
     _require(isinstance(doc, dict), "structure file must be a JSON object")
     kind = doc.get("kind")
     _require(kind in KINDS, f"unknown kind {kind!r}")
-    dim, dim_v = doc.get("dim"), doc.get("dim_v")
-    _require(_is_count(dim), "dim must be a positive int")
-    _require(kind not in ("module", "matched_pair") or _is_count(dim_v),
+    keys = {"kind", "dim", *LAYOUT[kind]}
+    for what, bad in (("missing", keys - doc.keys()),
+                      ("unknown", doc.keys() - keys - {"radicand"})):
+        _require(not bad, f"{what} key(s) {sorted(bad)} in a {kind} file")
+    _require(_is_count(doc["dim"]), "dim must be a positive int")
+    _require("dim_v" not in doc or _is_count(doc["dim_v"]),
              "dim_v must be a positive int")
     radicand = doc.get("radicand", 1)
     _require(_is_count(radicand, MAX_RADICAND)
              and square_free(radicand)[0] == 1,
              f"radicand {radicand!r} is not a square-free int in "
              f"1..{MAX_RADICAND}")
-    return kind, dim, dim_v, radicand
+    return kind, doc["dim"], doc.get("dim_v"), radicand
 
 
-# -- the document layout.  A document is a header and a run of parts: an
-# algebra block (a product and its twists), an action triple, a twist pair
-# or a coproduct.  Loading and dumping take a part's keys from one tuple.
-
-ALGEBRA = ("product", "alpha1", "alpha2")
-ALGEBRA_B = ("product_b", "beta1", "beta2")
-ACTIONS = ("left", "right", "middle")
-ACTIONS_A = ("a_left", "a_right", "a_middle")
-ACTIONS_B = ("b_left", "b_right", "b_middle")
+def _load_twists(doc, keys, dim, read) -> list[Matrix]:
+    return [_load_matrix(doc[key], dim, read, key) for key in keys]
 
 
-def _load_twists(doc, keys, dim, radicand) -> list[Matrix]:
-    return [_load_matrix(doc.get(key), dim, radicand, key) for key in keys]
+def _dump_twists(keys, twists, lit: _Literals) -> dict:
+    return {key: _dump_matrix(m, lit) for key, m in zip(keys, twists)}
 
 
-def _dump_twists(keys, twists) -> dict:
-    return {key: _dump_matrix(m) for key, m in zip(keys, twists)}
-
-
-def _load_algebra(doc, keys, dim, radicand) -> TernaryHomAlgebra:
+def _load_algebra(doc, keys, dim, read, radicand) -> TernaryHomAlgebra:
     return TernaryHomAlgebra(
-        dim, _load_product(doc.get(keys[0]), (dim,) * 3, dim, radicand),
-        *_load_twists(doc, keys[1:], dim, radicand), radicand)
+        dim, _load_product(doc[keys[0]], (dim,) * 3, dim, read),
+        *_load_twists(doc, keys[1:], dim, read), radicand)
 
 
-def _dump_algebra(keys, alg: TernaryHomAlgebra) -> dict:
-    return {keys[0]: _dump_product(alg.mu),
-            **_dump_twists(keys[1:], (alg.alpha1, alg.alpha2))}
+def _dump_algebra(keys, alg: TernaryHomAlgebra, lit: _Literals) -> dict:
+    return {keys[0]: _dump_product(alg.mu, lit),
+            **_dump_twists(keys[1:], (alg.alpha1, alg.alpha2), lit)}
 
 
-def _load_actions(doc, keys, n, m, radicand) -> TrimoduleActions:
+def _load_actions(doc, keys, n, m, read) -> TrimoduleActions:
     """The actions of an n-dimensional algebra on an m-dimensional space."""
     shapes = ((n, n, m), (m, n, n), (n, m, n))
-    return TrimoduleActions(*(_load_product(doc.get(key), shape, m, radicand)
+    return TrimoduleActions(*(_load_product(doc[key], shape, m, read)
                               for key, shape in zip(keys, shapes)))
 
 
-def _dump_actions(keys, act: TrimoduleActions) -> dict:
-    return {key: _dump_product(t)
+def _dump_actions(keys, act: TrimoduleActions, lit: _Literals) -> dict:
+    return {key: _dump_product(t, lit)
             for key, t in zip(keys, (act.L, act.R, act.M))}
 
 
@@ -215,59 +255,104 @@ def _dump_header(kind, obj, dim_v=None) -> dict:
 def load_structure(doc):
     """Parse a structure document into the matching library object."""
     kind, dim, dim_v, radicand = _load_header(doc)
+    read = _reader(radicand)
     if kind == "map":
-        return _load_matrix(doc.get("matrix"), dim, radicand, "matrix")
+        return _load_matrix(doc["matrix"], dim, read, "matrix")
     if kind == "coalgebra":
         return TernaryHomCoalgebra(
-            dim, _load_coproduct(doc, dim, radicand),
-            *_load_twists(doc, ALGEBRA[1:], dim, radicand), radicand)
-    alg = _load_algebra(doc, ALGEBRA, dim, radicand)
+            dim, _load_coproduct(doc["coproduct"], dim, read),
+            *_load_twists(doc, ALGEBRA[1:], dim, read), radicand)
+    alg = _load_algebra(doc, ALGEBRA, dim, read, radicand)
     if kind == "algebra":
         return alg
     if kind == "bialgebra":
         return TernaryBialgebra(alg, TernaryHomCoalgebra(
-            dim, _load_coproduct(doc, dim, radicand), alg.alpha1, alg.alpha2,
-            radicand))
+            dim, _load_coproduct(doc["coproduct"], dim, read), alg.alpha1,
+            alg.alpha2, radicand))
     if kind == "module":
         return ModuleBundle(
             alg, BihomModule(dim_v, *_load_twists(doc, ALGEBRA_B[1:], dim_v,
-                                                  radicand)),
-            _load_actions(doc, ACTIONS, dim, dim_v, radicand))
+                                                  read)),
+            _load_actions(doc, ACTIONS, dim, dim_v, read))
     # matched pair: dim is the first factor, dim_v the second
     return MatchedPairData(
-        alg, _load_algebra(doc, ALGEBRA_B, dim_v, radicand),
-        _load_actions(doc, ACTIONS_A, dim, dim_v, radicand),
-        _load_actions(doc, ACTIONS_B, dim_v, dim, radicand))
+        alg, _load_algebra(doc, ALGEBRA_B, dim_v, read, radicand),
+        _load_actions(doc, ACTIONS_A, dim, dim_v, read),
+        _load_actions(doc, ACTIONS_B, dim_v, dim, read))
 
 
 def dump_structure(obj) -> dict:
     """Render a library object as a canonical structure document; a bare
     matrix takes its radicand from its entries."""
+    lit = _Literals()
     if isinstance(obj, list):  # a bare matrix
         return {"kind": "map", "dim": len(obj), "radicand": mat_radicand(obj),
-                "matrix": _dump_matrix(obj)}
+                "matrix": _dump_matrix(obj, lit)}
     if isinstance(obj, TernaryHomAlgebra):
-        return _dump_header("algebra", obj) | _dump_algebra(ALGEBRA, obj)
+        return _dump_header("algebra", obj) | _dump_algebra(ALGEBRA, obj, lit)
     if isinstance(obj, TernaryHomCoalgebra):
-        return (_dump_header("coalgebra", obj) | _dump_coproduct(obj.delta)
-                | _dump_twists(ALGEBRA[1:], (obj.alpha1, obj.alpha2)))
+        return (_dump_header("coalgebra", obj)
+                | _dump_coproduct(obj.delta, lit)
+                | _dump_twists(ALGEBRA[1:], (obj.alpha1, obj.alpha2), lit))
     if isinstance(obj, TernaryBialgebra):
         return (_dump_header("bialgebra", obj.alg)
-                | {ALGEBRA[0]: _dump_product(obj.alg.mu)}
-                | _dump_coproduct(obj.coalg.delta)
-                | _dump_twists(ALGEBRA[1:], (obj.alpha1, obj.alpha2)))
+                | {ALGEBRA[0]: _dump_product(obj.alg.mu, lit)}
+                | _dump_coproduct(obj.coalg.delta, lit)
+                | _dump_twists(ALGEBRA[1:], (obj.alpha1, obj.alpha2), lit))
     if isinstance(obj, ModuleBundle):
         mod = obj.module
         return (_dump_header("module", obj.algebra, mod.dim)
-                | _dump_algebra(ALGEBRA, obj.algebra)
-                | _dump_twists(ALGEBRA_B[1:], (mod.beta1, mod.beta2))
-                | _dump_actions(ACTIONS, obj.actions))
+                | _dump_algebra(ALGEBRA, obj.algebra, lit)
+                | _dump_twists(ALGEBRA_B[1:], (mod.beta1, mod.beta2), lit)
+                | _dump_actions(ACTIONS, obj.actions, lit))
     if isinstance(obj, MatchedPairData):
         return (_dump_header("matched_pair", obj.A, obj.B.dim)
-                | _dump_algebra(ALGEBRA, obj.A) | _dump_algebra(ALGEBRA_B, obj.B)
-                | _dump_actions(ACTIONS_A, obj.actA)
-                | _dump_actions(ACTIONS_B, obj.actB))
+                | _dump_algebra(ALGEBRA, obj.A, lit)
+                | _dump_algebra(ALGEBRA_B, obj.B, lit)
+                | _dump_actions(ACTIONS_A, obj.actA, lit)
+                | _dump_actions(ACTIONS_B, obj.actB, lit))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+# -- the writer: ``json.dumps(doc, indent=2)`` for the values a document
+# holds (header scalars, matrices, product and coproduct entries), an entry
+# one template at a fixed depth.  Literals, keys and kinds need no escaping.
+
+_PRODUCT = ('    {{\n      "args": [\n        {},\n        {},\n        {}\n'
+            '      ],\n      "out": {}\n    }}')
+_COPRODUCT = '    {{\n      "arg": {},\n      "out": {}\n    }}'
+_TERM = ('        {{\n          "into": [\n            {},\n            {},\n'
+         '            {}\n          ],\n          "coeff": "{}"\n        }}')
+
+
+def _block(items: list[str], brackets: str, pad: str) -> str:
+    """The items one a line between brackets, the closing one at ``pad``."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _render(key, value) -> str:
+    if not isinstance(value, list):  # a header scalar
+        return f'"{value}"' if isinstance(value, str) else str(value)
+    if key == "coproduct":
+        items = [_COPRODUCT.format(e["arg"], _block(
+            [_TERM.format(*t["into"], t["coeff"]) for t in e["out"]],
+            "[]", "      ")) for e in value]
+    elif value and isinstance(value[0], list):  # a matrix
+        items = ["    " + _block([f'      "{x}"' for x in row], "[]", "    ")
+                 for row in value]
+    else:
+        items = [_PRODUCT.format(*e["args"], _block(
+            [f'        "{l}": "{x}"' for l, x in e["out"].items()],
+            "{}", "      ")) for e in value]
+    return _block(items, "[]", "  ")
+
+
+def render(doc: dict) -> str:
+    """A structure document as indent-2 JSON text."""
+    return _block([f'  "{key}": {_render(key, value)}'
+                   for key, value in doc.items()], "{}", "")
 
 
 def _unique_keys(pairs) -> dict:
@@ -297,7 +382,7 @@ def load_file(path):
 
 
 def dump_text(obj) -> str:
-    return json.dumps(dump_structure(obj), indent=2) + "\n"
+    return render(dump_structure(obj)) + "\n"
 
 
 def dump_file(obj, path) -> None:

@@ -157,6 +157,9 @@ _COALGEBRA = {"kind": "coalgebra", "dim": 1, "radicand": 1,
                              "out": [{"into": [1, 1, 1], "coeff": "1"}]}],
               "alpha1": [["1"]], "alpha2": [["1"]]}
 
+_MODULE = dict(_ALGEBRA, kind="module", dim_v=1, beta1=[["1"]],
+               beta2=[["1"]], left=[], right=[], middle=[])
+
 
 @pytest.mark.parametrize("doc", [
     dict(_ALGEBRA, product=5),
@@ -178,10 +181,27 @@ _COALGEBRA = {"kind": "coalgebra", "dim": 1, "radicand": 1,
         {"into": [1, 1, 1], "coeff": "1"}]}]),
     dict(_ALGEBRA, dim=True),
     dict(_ALGEBRA, radicand=True),
+    # every key of the kind's layout, and no other, must be present
+    {key: _ALGEBRA[key] for key in ("kind", "dim", "alpha1", "alpha2")},
+    {key: _COALGEBRA[key] for key in ("kind", "dim", "alpha1", "alpha2")},
+    dict(_ALGEBRA, prodcut=_ALGEBRA["product"]),
+    dict(_ALGEBRA, dim_v=1),
+    # a repeated entry is refused even where one copy is all zero
+    dict(_ALGEBRA, product=[{"args": [1, 1, 1], "out": {"1": "1"}},
+                            {"args": [1, 1, 1], "out": {"1": "0"}}]),
+    dict(_ALGEBRA, product=[{"args": [1, 1, 1], "out": {}},
+                            {"args": [1, 1, 1], "out": {"1": "1"}}]),
+    dict(_COALGEBRA, coproduct=[_COALGEBRA["coproduct"][0],
+                                {"arg": 1, "out": []}]),
+    dict(_MODULE, middle=[{"args": [1, 1, 1], "out": {"1": "0"}},
+                          {"args": [1, 1, 1], "out": {"1": "2"}}]),
 ], ids=["product-int", "product-list-of-int", "product-object",
         "out-list", "out-key-name", "out-key-float", "coproduct-list-of-str",
         "coproduct-term-int", "coproduct-out-object", "duplicate-into",
-        "args-bool", "arg-bool", "dim-bool", "radicand-bool"])
+        "args-bool", "arg-bool", "dim-bool", "radicand-bool",
+        "missing-product", "missing-coproduct", "unknown-key",
+        "dim-v-in-algebra", "repeated-zero-entry", "repeated-empty-entry",
+        "repeated-empty-coproduct-entry", "repeated-zero-action-entry"])
 def test_malformed_tensor_rejected(tmp_path, doc):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
