@@ -7,16 +7,23 @@ Exit codes: 0 all selected laws pass, 1 at least one violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
+from pathlib import Path
 
 from . import __version__
-from .algebra import NotEndomorphism, TernaryHomAlgebra
+from .algebra import (
+    NotEndomorphism,
+    PreconditionNotClassical,
+    TernaryHomAlgebra,
+)
 from .bialgebra import (
     TernaryBialgebra,
     check_bialgebra,
     check_compatibility,
+    dualize_bialgebra,
     sign_variant,
 )
 from .coalgebra import TernaryHomCoalgebra
@@ -26,6 +33,7 @@ from .report import Report
 from .serialization import (
     ModuleBundle,
     StructureFileError,
+    dump_file,
     dump_text,
     load_file,
 )
@@ -39,91 +47,114 @@ class UsageError(Exception):
     pass
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def _bialgebra_multiplicative(bi, args):
+    report = bi.alg.check_multiplicativity()
+    report.extend(bi.coalg.check_comultiplicativity())
+    return report
 
 
-def _applicable_laws(obj) -> list[str]:
-    if isinstance(obj, TernaryHomAlgebra):
-        return ["assoc", "multiplicative"]
-    if isinstance(obj, TernaryHomCoalgebra):
-        return ["coassoc", "multiplicative"]
-    if isinstance(obj, TernaryBialgebra):
-        return ["assoc", "coassoc", "multiplicative", "compat", "bialgebra"]
-    if isinstance(obj, ModuleBundle):
-        return ["assoc", "multiplicative", "trimodule"]
-    if isinstance(obj, MatchedPairData):
-        return ["matchedpair"]
-    return []
+def _trimodule(m, args):
+    if args.mode == "weak":
+        raise UsageError("trimodule laws have no weak mode")
+    return check_trimodule(m.algebra, m.module, m.actions, args.mode,
+                           "full" if args.full else "quasi")
 
 
-def _check_law(obj, law, mode, level, full) -> Report:
-    if law == "assoc":
-        alg = obj.algebra if isinstance(obj, ModuleBundle) else \
-            obj.alg if isinstance(obj, TernaryBialgebra) else obj
-        return alg.check_associativity(mode)
-    if law == "coassoc":
-        co = obj.coalg if isinstance(obj, TernaryBialgebra) else obj
-        return co.check_coassociativity(mode)
-    if law == "multiplicative":
-        if isinstance(obj, TernaryBialgebra):
-            rep = obj.alg.check_multiplicativity()
-            rep.extend(obj.coalg.check_comultiplicativity())
-            return rep
-        if isinstance(obj, ModuleBundle):
-            return obj.algebra.check_multiplicativity()
-        if isinstance(obj, TernaryHomCoalgebra):
-            return obj.check_comultiplicativity()
-        return obj.check_multiplicativity()
-    if law == "compat":
-        return check_compatibility(obj)
-    if law == "bialgebra":
-        return check_bialgebra(obj, mode)
-    if law == "trimodule":
-        if mode == "weak":
-            raise UsageError("trimodule laws have no weak mode")
-        return check_trimodule(obj.algebra, obj.module, obj.actions, mode,
-                               level)
-    if law == "matchedpair":
-        if mode == "weak":
-            raise UsageError("matched-pair laws have no weak mode")
-        return check_matched_pair(obj, mode, full)
-    raise UsageError(f"unknown law {law!r}")
+def _matched_pair(mp, args):
+    if args.mode == "weak":
+        raise UsageError("matched-pair laws have no weak mode")
+    return check_matched_pair(mp, args.mode, args.full)
+
+
+# structure type -> {law: check(obj, args)}, in report order
+CHECKS = {
+    TernaryHomAlgebra: {
+        "assoc": lambda alg, args: alg.check_associativity(args.mode),
+        "multiplicative": lambda alg, args: alg.check_multiplicativity()},
+    TernaryHomCoalgebra: {
+        "coassoc": lambda co, args: co.check_coassociativity(args.mode),
+        "multiplicative": lambda co, args: co.check_comultiplicativity()},
+    TernaryBialgebra: {
+        "assoc": lambda bi, args: bi.alg.check_associativity(args.mode),
+        "coassoc": lambda bi, args: bi.coalg.check_coassociativity(args.mode),
+        "multiplicative": _bialgebra_multiplicative,
+        "compat": lambda bi, args: check_compatibility(bi),
+        "bialgebra": lambda bi, args: check_bialgebra(bi, args.mode)},
+    ModuleBundle: {
+        "assoc": lambda m, args: m.algebra.check_associativity(args.mode),
+        "multiplicative": lambda m, args: m.algebra.check_multiplicativity(),
+        "trimodule": _trimodule},
+    MatchedPairData: {"matchedpair": _matched_pair},
+}
+
+
+def _twist(alg, args):
+    rho = load_file(args.endo)
+    if not isinstance(rho, list):
+        raise UsageError("--endo expects a map file")
+    return alg.yau_twist(rho)
+
+
+def _signflip(bi, args):
+    if not (args.mu or args.delta):
+        raise UsageError("signflip needs --mu and/or --delta")
+    return sign_variant(bi, args.mu, args.delta)
+
+
+# command -> (help, {input type: construction}, message for any other
+# input, the command's own options as (flag, add_argument keywords))
+BUILDS = {
+    "twist": ("twist a classical algebra along an endomorphism",
+              {TernaryHomAlgebra: _twist},
+              "twist expects an algebra file",
+              (("--endo", {"required": True}),)),
+    "dualize": ("transpose onto the dual basis",
+                {TernaryHomAlgebra: lambda alg, args: dualize_algebra(alg),
+                 TernaryHomCoalgebra: lambda co, args: dualize_coalgebra(co),
+                 TernaryBialgebra: lambda bi, args: dualize_bialgebra(bi)},
+                "dualize expects an algebra, coalgebra, or bialgebra", ()),
+    "semidirect": ("build the algebra-plus-module block product",
+                   {ModuleBundle: lambda m, args: semidirect_product(
+                       m.algebra, m.module, m.actions)},
+                   "semidirect expects a module file", ()),
+    "doublecross": ("build the bicrossed product of a matched pair",
+                    {MatchedPairData: lambda mp, args: bicrossed_product(mp)},
+                    "doublecross expects a matched_pair file", ()),
+    "signflip": ("negate structure tensors of a bialgebra",
+                 {TernaryBialgebra: _signflip},
+                 "signflip expects a bialgebra file",
+                 (("--mu", {"action": "store_true",
+                            "help": "negate the product"}),
+                  ("--delta", {"action": "store_true",
+                               "help": "negate the coproduct"}))),
+}
 
 
 def cmd_check(args) -> int:
     obj = load_file(args.file)
-    laws = _applicable_laws(obj)
-    if not laws:
+    checks = CHECKS.get(type(obj))
+    if not checks:
         raise UsageError("file kind supports no checks")
     if args.law == "all":
         # the composite bialgebra law repeats assoc/coassoc/compat
-        selected = [law for law in laws if law != "bialgebra"]
-    else:
+        selected = [law for law in checks if law != "bialgebra"]
+    elif args.law in checks:
         selected = [args.law]
-    for law in selected:
-        if law not in laws:
-            raise UsageError(
-                f"law {law!r} does not apply to this file kind")
-    level = "full" if args.full else "quasi"
+    else:
+        raise UsageError(f"law {args.law!r} does not apply to this file kind")
     report = Report()
     for law in selected:
-        report.extend(_check_law(obj, law, args.mode, level, args.full))
+        report.extend(checks[law](obj, args))
 
     if args.json:
-        doc = {
-            "tool": "ternalg",
-            "version": __version__,
-            "input": {"path": args.file, "sha256": _digest(args.file)},
-            "mode": args.mode,
-        }
-        doc.update(report.as_dict())
+        digest = hashlib.sha256(Path(args.file).read_bytes()).hexdigest()
+        doc = {"tool": "ternalg", "version": __version__,
+               "input": {"path": args.file, "sha256": digest},
+               "mode": args.mode, **report.as_dict()}
         print(json.dumps(doc, indent=2))
     else:
         for lr in report.laws:
-            status = "pass" if lr.passed else "FAIL"
-            line = f"{status}  {lr.law}"
+            line = f"{'pass' if lr.passed else 'FAIL'}  {lr.law}"
             if not lr.passed:
                 v = lr.violations[0]
                 line += f"  first violation at {v.index}: {v.residual}"
@@ -133,61 +164,21 @@ def cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _emit(obj, args):
-    text = dump_text(obj)
+def cmd_build(args) -> int:
+    _, builds, expects, _ = BUILDS[args.command]
+    obj = load_file(args.file)
+    build = builds.get(type(obj))
+    if build is None:
+        raise UsageError(expects)
+    result = build(obj, args)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            dump_file(result, args.out)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(dump_text(result))
     return 0
-
-
-def cmd_twist(args) -> int:
-    alg = load_file(args.file)
-    if not isinstance(alg, TernaryHomAlgebra):
-        raise UsageError("twist expects an algebra file")
-    rho = load_file(args.endo)
-    if not isinstance(rho, list):
-        raise UsageError("--endo expects a map file")
-    return _emit(alg.yau_twist(rho), args)
-
-
-def cmd_dualize(args) -> int:
-    obj = load_file(args.file)
-    if isinstance(obj, TernaryHomAlgebra):
-        return _emit(dualize_algebra(obj), args)
-    if isinstance(obj, TernaryHomCoalgebra):
-        return _emit(dualize_coalgebra(obj), args)
-    if isinstance(obj, TernaryBialgebra):
-        from .bialgebra import dualize_bialgebra
-
-        return _emit(dualize_bialgebra(obj), args)
-    raise UsageError("dualize expects an algebra, coalgebra, or bialgebra")
-
-
-def cmd_semidirect(args) -> int:
-    obj = load_file(args.file)
-    if not isinstance(obj, ModuleBundle):
-        raise UsageError("semidirect expects a module file")
-    return _emit(semidirect_product(obj.algebra, obj.module, obj.actions),
-                 args)
-
-
-def cmd_doublecross(args) -> int:
-    obj = load_file(args.file)
-    if not isinstance(obj, MatchedPairData):
-        raise UsageError("doublecross expects a matched_pair file")
-    return _emit(bicrossed_product(obj), args)
-
-
-def cmd_signflip(args) -> int:
-    obj = load_file(args.file)
-    if not isinstance(obj, TernaryBialgebra):
-        raise UsageError("signflip expects a bialgebra file")
-    if not (args.mu or args.delta):
-        raise UsageError("signflip needs --mu and/or --delta")
-    return _emit(sign_variant(obj, args.mu, args.delta), args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,42 +198,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include braiding and intertwining extras")
     p.add_argument("--json", action="store_true",
                    help="emit the machine-readable report")
-    p.set_defaults(run=cmd_check)
 
-    def construction(name, help_text, configure=None):
+    for name, (help_text, _, _, options) in BUILDS.items():
         q = sub.add_parser(name, help=help_text)
         q.add_argument("file")
         q.add_argument("--out", help="write the result here instead of stdout")
-        if configure:
-            configure(q)
-        return q
-
-    construction("twist", "twist a classical algebra along an endomorphism",
-                 lambda q: q.add_argument("--endo", required=True)
-                 ).set_defaults(run=cmd_twist)
-    construction("dualize", "transpose onto the dual basis"
-                 ).set_defaults(run=cmd_dualize)
-    construction("semidirect", "build the algebra-plus-module block product"
-                 ).set_defaults(run=cmd_semidirect)
-    construction("doublecross", "build the bicrossed product of a matched pair"
-                 ).set_defaults(run=cmd_doublecross)
-
-    def signflip_args(q):
-        q.add_argument("--mu", action="store_true", help="negate the product")
-        q.add_argument("--delta", action="store_true",
-                       help="negate the coproduct")
-
-    construction("signflip", "negate structure tensors of a bialgebra",
-                 signflip_args).set_defaults(run=cmd_signflip)
+        for flag, keywords in options:
+            q.add_argument(flag, **keywords)
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on first use, then shared
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.run(args)
-    except (StructureFileError, UsageError, NotEndomorphism) as exc:
+        return (cmd_check if args.command == "check" else cmd_build)(args)
+    except (StructureFileError, UsageError, NotEndomorphism,
+            PreconditionNotClassical) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -61,17 +61,21 @@ def _require(cond, msg):
 
 def _reader(radicand):
     """``read(text)``: a literal's scalar, each distinct string parsed once.
-    The memo lives for one load, so that another file's radicand still
-    judges the same literal."""
+    Where the file leaves the radicand 1, the first irrational literal pins
+    it, so one file cannot mix square roots.  The memo lives for one load,
+    so that another file's radicand still judges the same literal."""
     memo = {}
 
     def read(text):
+        nonlocal radicand
         if type(text) is str and text in memo:
             return memo[text]
         try:
             x = parse_scalar(str(text), radicand)
         except ValueError as exc:
             raise StructureFileError(f"bad scalar {text!r}: {exc}") from exc
+        if x.d != 1:
+            radicand = x.d
         if type(text) is str:
             memo[text] = x
         return x
@@ -89,6 +93,19 @@ def _index(value, dim, what):
         raise StructureFileError(
             f"{what} index {value!r} out of range 1..{dim}")
     return value - 1
+
+
+def _triple(idx, dims, what, shape):
+    """A list of three indices, each in 1..dims[k], as a 0-based key;
+    ``shape`` is the message for anything but a list of three."""
+    _require(isinstance(idx, list) and len(idx) == 3, shape)
+    a, b, c = idx
+    n1, n2, n3 = dims
+    if not (type(a) is int and type(b) is int and type(c) is int
+            and 1 <= a <= n1 and 1 <= b <= n2 and 1 <= c <= n3):
+        for i, n in zip(idx, dims):
+            _index(i, n, what)  # raises for the first bad index
+    return a - 1, b - 1, c - 1
 
 
 def _load_matrix(rows, dim, read, name) -> Matrix:
@@ -112,18 +129,12 @@ def _entries(entries, what):
 
 
 def _load_product(entries, dims, out_dim, read) -> MuTensor:
-    """dims bounds each argument slot; no entry may repeat, even as zero."""
-    n1, n2, n3 = dims
+    """dims bounds each argument slot and out_dim each output index, under a
+    zero coefficient too; no entry may repeat, even as zero."""
     mu: MuTensor = {}
     for entry in _entries(entries, "product"):
         args = entry.get("args")
-        _require(isinstance(args, list) and len(args) == 3,
-                 "product entry needs 3 args")
-        a, b, c = args
-        if not (type(a) is int and type(b) is int and type(c) is int
-                and 1 <= a <= n1 and 1 <= b <= n2 and 1 <= c <= n3):
-            for i, n in zip(args, dims):
-                _index(i, n, "product")
+        key = _triple(args, dims, "product", "product entry needs 3 args")
         out = entry.get("out", {})
         _require(isinstance(out, dict), "product 'out' must be an object")
         vec = {}
@@ -132,9 +143,9 @@ def _load_product(entries, dims, out_dim, read) -> MuTensor:
                 raise StructureFileError(
                     f"product output index {l!r} is not an integer")
             coeff = read(text)
+            index = _index(int(l), out_dim, "product output")
             if coeff:
-                vec[_index(int(l), out_dim, "product output")] = coeff
-        key = (a - 1, b - 1, c - 1)
+                vec[index] = coeff
         if key in mu:
             raise StructureFileError(f"duplicate product entry {args}")
         mu[key] = vec
@@ -143,6 +154,7 @@ def _load_product(entries, dims, out_dim, read) -> MuTensor:
 
 def _load_coproduct(entries, dim, read) -> DeltaTensor:
     delta: DeltaTensor = {}
+    dims = (dim,) * 3
     for entry in _entries(entries, "coproduct"):
         l = _index(entry.get("arg"), dim, "coproduct")
         terms = entry.get("out", [])
@@ -151,9 +163,8 @@ def _load_coproduct(entries, dim, read) -> DeltaTensor:
         for item in terms:
             _require(isinstance(item, dict), "coproduct term must be an object")
             into = item.get("into")
-            _require(isinstance(into, list) and len(into) == 3,
-                     "coproduct term needs a 3-index 'into'")
-            key = tuple(_index(i, dim, "coproduct") for i in into)
+            key = _triple(into, dims, "coproduct",
+                          "coproduct term needs a 3-index 'into'")
             if key in tens:
                 raise StructureFileError(
                     f"duplicate coproduct term {into} in entry {l + 1}")

@@ -73,6 +73,22 @@ def test_twist_rejects_non_endomorphism(tmp_path, capsys):
     assert main(["twist", fx("t2.json"), "--endo", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("alg", ["p2h.json", "t2h1.json", "t2h2.json"])
+@pytest.mark.parametrize("endo", ["rho1.json", "rho2.json", "rho_a2b3.json"])
+def test_twist_rejects_non_classical_input(capsys, alg, endo):
+    assert main(["twist", fx(alg), "--endo", fx(endo)]) == 2
+    assert capsys.readouterr().err == \
+        "error: Yau twist requires identity twist maps on the input\n"
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["dualize", fx("t2.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert not out.exists()
+
+
 def test_dualize_nilpotent_bialgebra(capsys):
     assert main(["dualize", fx("pb2.json")]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -159,6 +175,57 @@ _COALGEBRA = {"kind": "coalgebra", "dim": 1, "radicand": 1,
 
 _MODULE = dict(_ALGEBRA, kind="module", dim_v=1, beta1=[["1"]],
                beta2=[["1"]], left=[], right=[], middle=[])
+_KINDS = {
+    "algebra": _ALGEBRA,
+    "coalgebra": _COALGEBRA,
+    "bialgebra": dict(_ALGEBRA, kind="bialgebra",
+                      coproduct=_COALGEBRA["coproduct"]),
+    "module": _MODULE,
+    "matched_pair": dict(_ALGEBRA, kind="matched_pair", dim_v=1,
+                         product_b=[], beta1=[["1"]], beta2=[["1"]],
+                         a_left=[], a_right=[], a_middle=[],
+                         b_left=[], b_right=[], b_middle=[]),
+    "map": {"kind": "map", "dim": 1, "radicand": 1, "matrix": [["1"]]},
+}
+
+# each construction: the kinds it accepts, and its message for any other
+_BUILDS = {
+    "twist": ({"algebra"}, "twist expects an algebra file"),
+    "dualize": ({"algebra", "coalgebra", "bialgebra"},
+                "dualize expects an algebra, coalgebra, or bialgebra"),
+    "semidirect": ({"module"}, "semidirect expects a module file"),
+    "doublecross": ({"matched_pair"},
+                    "doublecross expects a matched_pair file"),
+    "signflip": ({"bialgebra"}, "signflip expects a bialgebra file"),
+}
+
+
+@pytest.mark.parametrize("command, kind", [
+    (command, kind) for command, (accepted, _) in _BUILDS.items()
+    for kind in _KINDS if kind not in accepted])
+def test_construction_kind_mismatch(tmp_path, capsys, command, kind):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(_KINDS[kind]))
+    endo = tmp_path / "endo.json"
+    endo.write_text(json.dumps(_KINDS["map"]))
+    load_file(path)  # a well-formed file of the wrong kind
+    argv = [command, str(path)] + (
+        ["--endo", str(endo)] if command == "twist" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {_BUILDS[command][1]}\n"
+
+
+def test_repeated_calls_share_no_state(capsys):
+    check = ["check", fx("t2h1.json"), "--mode", "total", "--json"]
+    assert main(check) == 0
+    first = capsys.readouterr().out
+    assert main(["signflip", fx("pb2.json"), "--mu"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "bialgebra"
+    with pytest.raises(SystemExit):
+        main(["check", fx("t2h1.json"), "--law", "bogus"])
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(check) == 0
+    assert capsys.readouterr().out == first
 
 
 @pytest.mark.parametrize("doc", [
@@ -195,13 +262,23 @@ _MODULE = dict(_ALGEBRA, kind="module", dim_v=1, beta1=[["1"]],
                                 {"arg": 1, "out": []}]),
     dict(_MODULE, middle=[{"args": [1, 1, 1], "out": {"1": "0"}},
                           {"args": [1, 1, 1], "out": {"1": "2"}}]),
+    # an output index is checked even under a zero coefficient
+    dict(_ALGEBRA, product=[{"args": [1, 1, 1], "out": {"9": "0"}}]),
+    # a file that leaves the radicand 1 still holds one square root only
+    {key: value for key, value in dict(
+        _ALGEBRA, product=[{"args": [1, 1, 1], "out": {"1": "sqrt(2)"}}],
+        alpha1=[["sqrt(3)"]]).items() if key != "radicand"},
+    dict(_ALGEBRA, product=[{"args": [1, 1, 1], "out": {"1": "sqrt(2)"}}],
+         alpha1=[["sqrt(3)"]]),
 ], ids=["product-int", "product-list-of-int", "product-object",
         "out-list", "out-key-name", "out-key-float", "coproduct-list-of-str",
         "coproduct-term-int", "coproduct-out-object", "duplicate-into",
         "args-bool", "arg-bool", "dim-bool", "radicand-bool",
         "missing-product", "missing-coproduct", "unknown-key",
         "dim-v-in-algebra", "repeated-zero-entry", "repeated-empty-entry",
-        "repeated-empty-coproduct-entry", "repeated-zero-action-entry"])
+        "repeated-empty-coproduct-entry", "repeated-zero-action-entry",
+        "zero-output-out-of-range", "mixed-radicands-undeclared",
+        "mixed-radicands-radicand-1"])
 def test_malformed_tensor_rejected(tmp_path, doc):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
