@@ -11,21 +11,22 @@ reported with its 1-based basis index tuple.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
+from operator import getitem
 
 from .linalg import (
     Matrix,
     SparseVec,
     drop_zeros,
     mat_apply,
-    mat_column,
     mat_columns,
     mat_identity,
     mat_invertible,
     mat_is_identity,
-    mat_mul,
     mat_radicand,
     trilinear,
+    vec_add_into,
 )
 from .report import (
     DEFAULT_MAX_VIOLATIONS,
@@ -38,7 +39,7 @@ from .report import (
     mode_residuals,
     vec_str,
 )
-from .scalars import ONE as _ONE, ZERO as _ZERO
+from .scalars import ONE as _ONE, ZERO as _ZERO, RadicandMismatch
 
 MuTensor = dict  # dict[tuple[int, int, int], SparseVec]
 
@@ -116,13 +117,11 @@ class TernaryHomAlgebra:
 
     def check_multiplicativity(self, max_violations: int = DEFAULT_MAX_VIOLATIONS
                                ) -> Report:
-        report = Report()
-        for name, tag, mat in (("multiplicative:alpha1", "mult1", self.alpha1),
-                               ("multiplicative:alpha2", "mult2", self.alpha2)):
-            lr = LawReport(name, tag)
-            report.add(lr)
-            _product_defects(mat, self, self, lr, max_violations)
-        return report
+        laws = (("multiplicative:alpha1", "mult1", self.alpha1),
+                ("multiplicative:alpha2", "mult2", self.alpha2))
+        return Report([intertwining(LawReport(name, tag), mat, self.mu_basis,
+                                    self.mu_vec, (mat,) * 3, max_violations)
+                       for name, tag, mat in laws])
 
     def multiplication_operators(self, x: SparseVec, y: SparseVec
                                  ) -> tuple[Matrix, Matrix, Matrix]:
@@ -140,33 +139,44 @@ class TernaryHomAlgebra:
 
     def yau_twist(self, rho: Matrix) -> "TernaryHomAlgebra":
         """Twist a classical ternary algebra along an endomorphism rho."""
+        if len(rho) != self.dim:
+            raise ValueError("dimension mismatch")
         if not self.is_classical():
             raise PreconditionNotClassical(
                 "Yau twist requires identity twist maps on the input")
-        probe = LawReport("endomorphism", "endo")
-        _product_defects(rho, self, self, probe, 1)
+        # an irrational endomorphism widens the scalar field of the result
+        radicand = mat_radicand(rho, self.radicand)
+        if self.radicand not in (1, radicand):
+            raise RadicandMismatch(
+                f"sqrt({self.radicand}) vs sqrt({radicand})")
+        probe = intertwining(LawReport("endomorphism", "endo"), rho,
+                             self.mu_basis, self.mu_vec, (rho,) * 3, 1)
         if probe.violations:
             raise NotEndomorphism(probe.violations[0].index)
         mu_new: MuTensor = {}
         for key, vec in self.mu.items():
             mu_new[key] = mat_apply(rho, vec)
-        # an irrational endomorphism widens the scalar field of the result
-        return TernaryHomAlgebra(self.dim, mu_new, rho, rho,
-                                 mat_radicand(rho, self.radicand))
+        return TernaryHomAlgebra(self.dim, mu_new, rho, rho, radicand)
 
 
-def _product_defects(f: Matrix, a: TernaryHomAlgebra, b: TernaryHomAlgebra,
-                     lr: LawReport, cap: int) -> None:
-    """f mu_a(e_r, e_s, e_t) - mu_b(f e_r, f e_s, f e_t) over basis triples."""
-    cols = mat_columns(f)
+def intertwining(lr: LawReport, g: Matrix, src, dst, maps: tuple, cap: int,
+                 fmt=vec_str) -> LawReport:
+    """Record g src(i, j, ...) - dst(f1 e_i, f2 e_j, ...) in ``lr``, and
+    return it.  ``src`` takes basis indices and ``dst`` sparse vectors; the
+    k-th index runs over the basis that f_k = ``maps[k]`` acts on.  ``g``
+    and the maps are turned into columns once."""
+    g_cols = mat_columns(g)
+    cols = [g_cols if f is g else mat_columns(f) for f in maps]
 
-    def members(key):
-        r, s, t = key
-        return (mat_apply(f, a.mu_basis(r, s, t)),
-                b.mu_vec(cols[r], cols[s], cols[t]))
+    def members(idx):
+        lhs: SparseVec = {}
+        for j, c in src(*idx).items():
+            vec_add_into(lhs, g_cols[j], c)
+        return lhs, dst(*map(getitem, cols, idx))
 
-    check_laws([lr], [difference], product(range(a.dim), repeat=3), members,
-               vec_str, cap)
+    check_laws([lr], [difference], product(*[range(len(f)) for f in maps]),
+               members, fmt, cap)
+    return lr
 
 
 def twist_intertwining(f: Matrix, a, b, kind: str, tag: str,
@@ -177,24 +187,20 @@ def twist_intertwining(f: Matrix, a, b, kind: str, tag: str,
     ``{kind}:twist1`` and ``{kind}:twist2`` and tagged ``{tag}2``,
     ``{tag}3``.
     """
-    laws = []
-    for k, am, bm in ((1, a.alpha1, b.alpha1), (2, a.alpha2, b.alpha2)):
-        lr = LawReport(f"{kind}:twist{k}", f"{tag}{k + 1}")
-        laws.append(lr)
-        lhs, rhs = mat_mul(f, am), mat_mul(bm, f)
-        check_laws([lr], [difference], product(range(len(f))),
-                   lambda j: (mat_column(lhs, j[0]), mat_column(rhs, j[0])),
-                   vec_str, cap)
-    return laws
+    return [intertwining(LawReport(f"{kind}:twist{k}", f"{tag}{k + 1}"), f,
+                         mat_columns(am).__getitem__,
+                         partial(mat_apply, bm), (f,), cap)
+            for k, am, bm in ((1, a.alpha1, b.alpha1),
+                              (2, a.alpha2, b.alpha2))]
 
 
 def check_algebra_morphism(f: Matrix, a: TernaryHomAlgebra, b: TernaryHomAlgebra,
                            max_violations: int = DEFAULT_MAX_VIOLATIONS) -> Report:
     """f respects products and intertwines the twists of a and b."""
-    if a.dim != b.dim:
+    if not a.dim == b.dim == len(f):
         raise ValueError("dimension mismatch")
     prod = LawReport("morphism:product", "mor1")
-    _product_defects(f, a, b, prod, max_violations)
+    intertwining(prod, f, a.mu_basis, b.mu_vec, (f,) * 3, max_violations)
     return Report([prod] + twist_intertwining(f, a, b, "morphism", "mor",
                                               max_violations))
 

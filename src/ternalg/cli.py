@@ -14,11 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .algebra import (
-    NotEndomorphism,
-    PreconditionNotClassical,
-    TernaryHomAlgebra,
-)
+from .algebra import TernaryHomAlgebra
 from .bialgebra import (
     TernaryBialgebra,
     check_bialgebra,
@@ -92,7 +88,11 @@ def _twist(alg, args):
     rho = load_file(args.endo)
     if not isinstance(rho, list):
         raise UsageError("--endo expects a map file")
-    return alg.yau_twist(rho)
+    try:
+        return alg.yau_twist(rho)
+    except ValueError as exc:
+        # another size or radicand, not an endomorphism, or a twisted algebra
+        raise UsageError(str(exc)) from exc
 
 
 def _signflip(bi, args):
@@ -215,8 +215,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return (cmd_check if args.command == "check" else cmd_build)(args)
-    except (StructureFileError, UsageError, NotEndomorphism,
-            PreconditionNotClassical) as exc:
+    except (StructureFileError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -177,7 +177,7 @@ def check_coalgebra_morphism(f: Matrix, c1: TernaryHomCoalgebra,
                              max_violations: int = DEFAULT_MAX_VIOLATIONS
                              ) -> Report:
     """(f x f x f) Delta1 = Delta2 f, plus twist intertwining."""
-    if c1.dim != c2.dim:
+    if not c1.dim == c2.dim == len(f):
         raise ValueError("dimension mismatch")
     lr = LawReport("comorphism:coproduct", "comor1")
     _comorphism_defects(c1, f, c2, lr, max_violations)

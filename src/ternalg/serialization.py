@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import MuTensor, TernaryHomAlgebra
-from .bialgebra import TernaryBialgebra
+from .bialgebra import TernaryBialgebra, bialgebra
 from .coalgebra import DeltaTensor, TernaryHomCoalgebra
 from .linalg import Matrix, mat_radicand
 from .matched_pair import MatchedPairData
@@ -62,24 +62,25 @@ def _require(cond, msg):
 def _reader(radicand):
     """``read(text)``: a literal's scalar, each distinct string parsed once.
     Where the file leaves the radicand 1, the first irrational literal pins
-    it, so one file cannot mix square roots.  The memo lives for one load,
-    so that another file's radicand still judges the same literal."""
+    it, so one file cannot mix square roots; ``read.radicand`` is the
+    radicand so far.  The memo lives for one load, so that another file's
+    radicand still judges the same literal."""
     memo = {}
 
     def read(text):
-        nonlocal radicand
         if type(text) is str and text in memo:
             return memo[text]
         try:
-            x = parse_scalar(str(text), radicand)
+            x = parse_scalar(str(text), read.radicand)
         except ValueError as exc:
             raise StructureFileError(f"bad scalar {text!r}: {exc}") from exc
         if x.d != 1:
-            radicand = x.d
+            read.radicand = x.d
         if type(text) is str:
             memo[text] = x
         return x
 
+    read.radicand = radicand
     return read
 
 
@@ -234,10 +235,10 @@ def _dump_twists(keys, twists, lit: _Literals) -> dict:
     return {key: _dump_matrix(m, lit) for key, m in zip(keys, twists)}
 
 
-def _load_algebra(doc, keys, dim, read, radicand) -> TernaryHomAlgebra:
-    return TernaryHomAlgebra(
-        dim, _load_product(doc[keys[0]], (dim,) * 3, dim, read),
-        *_load_twists(doc, keys[1:], dim, read), radicand)
+def _load_algebra(doc, keys, dim, read) -> tuple:
+    """The product and the two twists of an algebra part."""
+    return (_load_product(doc[keys[0]], (dim,) * 3, dim, read),
+            *_load_twists(doc, keys[1:], dim, read))
 
 
 def _dump_algebra(keys, alg: TernaryHomAlgebra, lit: _Literals) -> dict:
@@ -264,32 +265,36 @@ def _dump_header(kind, obj, dim_v=None) -> dict:
 
 
 def load_structure(doc):
-    """Parse a structure document into the matching library object."""
+    """Parse a structure document into the matching library object.  Every
+    literal is read before a part is built, so that each part carries the
+    radicand that the file's first square root pinned."""
     kind, dim, dim_v, radicand = _load_header(doc)
     read = _reader(radicand)
     if kind == "map":
         return _load_matrix(doc["matrix"], dim, read, "matrix")
     if kind == "coalgebra":
-        return TernaryHomCoalgebra(
-            dim, _load_coproduct(doc["coproduct"], dim, read),
-            *_load_twists(doc, ALGEBRA[1:], dim, read), radicand)
-    alg = _load_algebra(doc, ALGEBRA, dim, read, radicand)
+        delta = _load_coproduct(doc["coproduct"], dim, read)
+        twists = _load_twists(doc, ALGEBRA[1:], dim, read)
+        return TernaryHomCoalgebra(dim, delta, *twists, read.radicand)
+    alg = _load_algebra(doc, ALGEBRA, dim, read)
     if kind == "algebra":
-        return alg
+        return TernaryHomAlgebra(dim, *alg, read.radicand)
     if kind == "bialgebra":
-        return TernaryBialgebra(alg, TernaryHomCoalgebra(
-            dim, _load_coproduct(doc["coproduct"], dim, read), alg.alpha1,
-            alg.alpha2, radicand))
+        delta = _load_coproduct(doc["coproduct"], dim, read)
+        return bialgebra(dim, alg[0], delta, *alg[1:], read.radicand)
     if kind == "module":
-        return ModuleBundle(
-            alg, BihomModule(dim_v, *_load_twists(doc, ALGEBRA_B[1:], dim_v,
-                                                  read)),
-            _load_actions(doc, ACTIONS, dim, dim_v, read))
+        mod = BihomModule(dim_v, *_load_twists(doc, ALGEBRA_B[1:], dim_v,
+                                               read))
+        act = _load_actions(doc, ACTIONS, dim, dim_v, read)
+        return ModuleBundle(TernaryHomAlgebra(dim, *alg, read.radicand), mod,
+                            act)
     # matched pair: dim is the first factor, dim_v the second
-    return MatchedPairData(
-        alg, _load_algebra(doc, ALGEBRA_B, dim_v, read, radicand),
-        _load_actions(doc, ACTIONS_A, dim, dim_v, read),
-        _load_actions(doc, ACTIONS_B, dim_v, dim, read))
+    alg_b = _load_algebra(doc, ALGEBRA_B, dim_v, read)
+    act_a = _load_actions(doc, ACTIONS_A, dim, dim_v, read)
+    act_b = _load_actions(doc, ACTIONS_B, dim_v, dim, read)
+    return MatchedPairData(TernaryHomAlgebra(dim, *alg, read.radicand),
+                           TernaryHomAlgebra(dim_v, *alg_b, read.radicand),
+                           act_a, act_b)
 
 
 def dump_structure(obj) -> dict:

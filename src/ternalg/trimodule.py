@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 
-from .algebra import MuTensor, TernaryHomAlgebra
+from .algebra import MuTensor, TernaryHomAlgebra, intertwining
 from .linalg import (
     Matrix,
     SparseVec,
@@ -172,19 +172,11 @@ def intertwining_laws(alg: TernaryHomAlgebra, mod: BihomModule,
                       cap: int) -> None:
     """gamma op(a, b, v) = op(a1 a, a2 b, gamma v), one law per pair of
     op = L, M, R and gamma = beta1, beta2, in that order."""
-    a1, a2 = mat_columns(alg.alpha1), mat_columns(alg.alpha2)
     pairs = product((act.op_L, act.op_M, act.op_R), (mod.beta1, mod.beta2))
     for lr, (op, gamma) in zip(laws, pairs):
-        gv = mat_columns(gamma)
-
-        def members(idx):
-            a, b, v = idx
-            return (mat_apply(gamma, op({a: ONE}, {b: ONE}, {v: ONE})),
-                    op(a1[a], a2[b], gv[v]))
-
-        check_laws([lr], [difference],
-                   product(range(alg.dim), range(alg.dim), range(mod.dim)),
-                   members, module_vec_str, cap)
+        intertwining(lr, gamma,
+                     lambda a, b, v: op({a: ONE}, {b: ONE}, {v: ONE}),
+                     op, (alg.alpha1, alg.alpha2, gamma), cap, module_vec_str)
 
 
 def regular_actions(alg: TernaryHomAlgebra, which: str = "lmr"

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from ternalg.algebra import (
@@ -8,9 +11,15 @@ from ternalg.algebra import (
     classical,
     is_algebra_isomorphism,
 )
-from ternalg.linalg import mat_identity
+from ternalg.linalg import (
+    mat_apply,
+    mat_columns,
+    mat_identity,
+    mat_inverse,
+    mat_mul,
+)
 from ternalg.report import SCALAR, check_laws, mode_laws, mode_residuals
-from ternalg.scalars import QuadScalar
+from ternalg.scalars import QuadScalar, RadicandMismatch
 
 
 def q(x):
@@ -226,3 +235,92 @@ def test_operator_slots():
     assert a.op_L(e1, e1, e2) == a.mu_vec(e1, e1, e2)
     assert a.op_R(e1, e1, e2) == a.mu_vec(e2, e1, e1)
     assert a.op_M(e1, e2, e1) == a.mu_vec(e1, e1, e2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, f: check_algebra_morphism(f, a, a),
+    lambda a, f: is_algebra_isomorphism(f, a, a),
+    lambda a, f: a.yau_twist(f),
+], ids=["morphism", "isomorphism", "yau_twist"])
+@pytest.mark.parametrize("size", [1, 3])
+def test_map_of_another_size_is_refused(call, size):
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        call(nilp(), mat_identity(size))
+
+
+def test_twist_across_radicands_is_refused():
+    # rho fixes e1, so the probe never multiplies sqrt(2) by sqrt(3)
+    a = classical(2, {(0, 0, 0): {0: QuadScalar(0, 1, 2)}}, radicand=2)
+    rho = [[q(1), q(0)], [q(0), QuadScalar(0, 1, 3)]]
+    with pytest.raises(RadicandMismatch):
+        a.yau_twist(rho)
+
+
+# -- transport along a change of basis ------------------------------------
+
+
+def _scalar(rng, radicand):
+    x = QuadScalar(rng.choice([0, 1, -1, 2, "1/2", "-3/2"]))
+    if radicand != 1 and rng.random() < 0.5:
+        x = x + QuadScalar(0, rng.choice([1, -1, "1/2"]), radicand)
+    return x
+
+
+def _algebra(rng, n, radicand, family):
+    """A random product and twists, a classical diagonal product, or that
+    product twisted along a diagonal endomorphism."""
+    if family == "random":
+        mu = {key: {l: _scalar(rng, radicand) for l in range(n)
+                    if rng.random() < 0.4}
+              for key in product(range(n), repeat=3) if rng.random() < 0.3}
+        twists = [[[_scalar(rng, radicand) for _ in range(n)]
+                   for _ in range(n)] for _ in range(2)]
+        return TernaryHomAlgebra(n, mu, *twists, radicand)
+    a = classical(n, {(i, i, i): {i: _scalar(rng, radicand) + q(3)}
+                      for i in range(n)}, radicand)
+    if family == "classical":
+        return a
+    signs = [q(rng.choice([0, 1, -1])) for _ in range(n)]
+    return a.yau_twist([[signs[i] if i == j else q(0) for j in range(n)]
+                        for i in range(n)])
+
+
+def _change_of_basis(rng, n, radicand):
+    """A unitriangular matrix times a permutation matrix."""
+    perm = rng.sample(range(n), n)
+    upper = [[q(1) if i == j else _scalar(rng, radicand) if i < j else q(0)
+              for j in range(n)] for i in range(n)]
+    return mat_mul(upper, [[q(1) if perm[j] == i else q(0)
+                            for j in range(n)] for i in range(n)])
+
+
+def _transport(t, a):
+    """mu' = t mu (t^-1 x t^-1 x t^-1) and alpha'_k = t alpha_k t^-1."""
+    inv = mat_inverse(t)
+    cols = mat_columns(inv)
+    mu = {(r, s, u): mat_apply(t, a.mu_vec(cols[r], cols[s], cols[u]))
+          for r, s, u in product(range(a.dim), repeat=3)}
+    return TernaryHomAlgebra(a.dim, mu, mat_mul(mat_mul(t, a.alpha1), inv),
+                             mat_mul(mat_mul(t, a.alpha2), inv), a.radicand)
+
+
+def _verdicts(report):
+    return [(lr.law, lr.passed) for lr in report.laws]
+
+
+@pytest.mark.parametrize("family", ["random", "classical", "twisted"])
+@pytest.mark.parametrize("radicand", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_change_of_basis_is_an_isomorphism(n, radicand, family):
+    rng = random.Random(f"{n}-{radicand}-{family}")
+    for _ in range(3):
+        a = _algebra(rng, n, radicand, family)
+        t = _change_of_basis(rng, n, radicand)
+        b = _transport(t, a)
+        for mode in ("total", "partial", "weak"):
+            assert _verdicts(b.check_associativity(mode, 1)) == \
+                _verdicts(a.check_associativity(mode, 1))
+        assert _verdicts(b.check_multiplicativity(1)) == \
+            _verdicts(a.check_multiplicativity(1))
+        assert check_algebra_morphism(t, a, b).passed
+        assert is_algebra_isomorphism(t, a, b)

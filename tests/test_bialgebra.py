@@ -195,6 +195,13 @@ def test_equivalence_swap():
     assert is_bialgebra_equivalence(swap, pb2(), eq2())
 
 
+@pytest.mark.parametrize("check", [check_bialgebra_equivalence,
+                                   is_bialgebra_equivalence])
+def test_equivalence_refuses_a_map_of_another_size(check):
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        check(mat_identity(3), pb2(), eq2())
+
+
 def test_equivalence_rejects_identity_and_singular():
     ident = mat_identity(2)
     assert not is_bialgebra_equivalence(ident, pb2(), eq2())

@@ -81,6 +81,33 @@ def test_twist_rejects_non_classical_input(capsys, alg, endo):
         "error: Yau twist requires identity twist maps on the input\n"
 
 
+@pytest.mark.parametrize("alg, endo, message", [
+    # a map of another size
+    (fx("ep1.json"),
+     {"kind": "map", "dim": 3,
+      "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+     "error: dimension mismatch\n"),
+    # a map over another radicand
+    ({"kind": "algebra", "dim": 1,
+      "product": [{"args": [1, 1, 1], "out": {"1": "sqrt(2)"}}],
+      "alpha1": [["1"]], "alpha2": [["1"]]},
+     {"kind": "map", "dim": 1, "matrix": [["sqrt(3)"]]},
+     "error: sqrt(2) vs sqrt(3)\n"),
+], ids=["another size", "another radicand"])
+def test_twist_refuses_an_unusable_map(tmp_path, capsys, alg, endo, message):
+    paths = []
+    for name, doc in (("alg.json", alg), ("endo.json", endo)):
+        if isinstance(doc, dict):
+            (tmp_path / name).write_text(json.dumps(doc))
+            doc = str(tmp_path / name)
+        paths.append(doc)
+    out = tmp_path / "out.json"
+    assert main(["twist", paths[0], "--endo", paths[1],
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "missing" / "x.json"
     assert main(["dualize", fx("t2.json"), "--out", str(out)]) == 2

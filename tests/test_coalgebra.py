@@ -151,3 +151,12 @@ def test_morphism_composition():
         from ternalg.linalg import mat_mul
 
         assert check_coalgebra_morphism(mat_mul(f, f), c, c).passed
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_map_of_another_size_is_refused(size):
+    c = nilp_co()
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        check_coalgebra_morphism(mat_identity(size), c, c)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        is_coalgebra_isomorphism(mat_identity(size), c, c)

@@ -18,6 +18,7 @@ from ternalg.coalgebra import TernaryHomCoalgebra
 from ternalg.matched_pair import MatchedPairData
 from ternalg.scalars import ONE, ZERO, QuadScalar
 from ternalg.serialization import (
+    LAYOUT,
     ModuleBundle,
     StructureFileError,
     dump_structure,
@@ -194,3 +195,50 @@ def test_misspelled_tensor_key_refused(tmp_path, capsys):
                  "partial"]) == 2
     err = capsys.readouterr().err
     assert "missing key(s) ['product']" in err
+
+
+def _dim1_doc(kind, root_key):
+    """A dim-1 document of ``kind`` with no radicand, whose only square root
+    is in ``root_key``."""
+    doc = {"kind": kind, "dim": 1}
+    for key in LAYOUT[kind]:
+        if key == "dim_v":
+            doc[key] = 1
+        elif key == "coproduct":
+            coeff = "sqrt(2)" if key == root_key else "1"
+            doc[key] = [{"arg": 1, "out": [{"into": [1, 1, 1],
+                                            "coeff": coeff}]}]
+        elif key.startswith(("alpha", "beta")):
+            doc[key] = [["1"]]
+        else:
+            out = "sqrt(2)" if key == root_key else "1"
+            doc[key] = [{"args": [1, 1, 1], "out": {"1": out}}]
+    return doc
+
+
+# the parts of each kind that carry a radicand
+PARTS = {"algebra": lambda a: [a], "coalgebra": lambda c: [c],
+         "bialgebra": lambda b: [b.alg, b.coalg],
+         "module": lambda m: [m.algebra],
+         "matched_pair": lambda mp: [mp.A, mp.B]}
+
+
+@pytest.mark.parametrize("kind, root_key", [
+    ("algebra", "product"), ("coalgebra", "coproduct"),
+    ("bialgebra", "coproduct"), ("module", "middle"),
+    ("matched_pair", "product_b")])
+def test_loaded_parts_carry_the_pinned_radicand(kind, root_key):
+    obj = load_structure(_dim1_doc(kind, root_key))
+    assert [part.radicand for part in PARTS[kind](obj)] == \
+        [2] * len(PARTS[kind](obj))
+    text = dump_text(obj)
+    assert json.loads(text)["radicand"] == 2
+    assert dump_text(load_structure(json.loads(text))) == text
+
+
+def test_dualize_writes_the_pinned_radicand(tmp_path, capsys):
+    path = _write(tmp_path / "a.json", _dim1_doc("algebra", "product"))
+    assert main(["dualize", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["radicand"] == 2
+    assert doc["coproduct"][0]["out"][0]["coeff"] == "1*sqrt(2)"
