@@ -15,11 +15,12 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import TernaryHomAlgebra, check_algebra_morphism
+from .algebra import TernaryHomAlgebra, check_algebra_morphism, morphism_laws
 from .coalgebra import (
     TernaryHomCoalgebra,
     Tensor3,
     check_coalgebra_morphism,
+    comorphism_laws,
     tensor3_map,
 )
 from .duality import dualize_algebra, dualize_coalgebra
@@ -263,4 +264,6 @@ def check_bialgebra_equivalence(f: Matrix, b1: TernaryBialgebra,
 
 def is_bialgebra_equivalence(f: Matrix, b1: TernaryBialgebra,
                              b2: TernaryBialgebra) -> bool:
-    return check_bialgebra_equivalence(f, b1, b2, max_violations=1).passed
+    laws = itertools.chain(morphism_laws(f, b1.alg, b2.alg, 1),
+                           comorphism_laws(f, b1.coalg, b2.coalg, 1))
+    return all(lr.passed for lr in laws) and mat_invertible(f)

@@ -14,6 +14,7 @@ is reported, never reconciled.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 
 from .algebra import twist_intertwining
@@ -172,22 +173,29 @@ class TernaryHomCoalgebra:
         return Report(laws)
 
 
+def comorphism_laws(f: Matrix, c1: TernaryHomCoalgebra,
+                    c2: TernaryHomCoalgebra, cap: int
+                    ) -> Iterator[LawReport]:
+    """The laws of a coalgebra morphism, each checked when it is reached."""
+    if not c1.dim == c2.dim == len(f):
+        raise ValueError("dimension mismatch")
+    lr = LawReport("comorphism:coproduct", "comor1")
+    _comorphism_defects(c1, f, c2, lr, cap)
+    yield lr
+    yield from twist_intertwining(f, c1, c2, "comorphism", "comor", cap)
+
+
 def check_coalgebra_morphism(f: Matrix, c1: TernaryHomCoalgebra,
                              c2: TernaryHomCoalgebra,
                              max_violations: int = DEFAULT_MAX_VIOLATIONS
                              ) -> Report:
     """(f x f x f) Delta1 = Delta2 f, plus twist intertwining."""
-    if not c1.dim == c2.dim == len(f):
-        raise ValueError("dimension mismatch")
-    lr = LawReport("comorphism:coproduct", "comor1")
-    _comorphism_defects(c1, f, c2, lr, max_violations)
-    return Report([lr] + twist_intertwining(f, c1, c2, "comorphism", "comor",
-                                            max_violations))
+    return Report(list(comorphism_laws(f, c1, c2, max_violations)))
 
 
 def is_coalgebra_isomorphism(f: Matrix, c1: TernaryHomCoalgebra,
                              c2: TernaryHomCoalgebra) -> bool:
-    return check_coalgebra_morphism(f, c1, c2, max_violations=1).passed \
+    return all(lr.passed for lr in comorphism_laws(f, c1, c2, 1)) \
         and mat_invertible(f)
 
 

@@ -6,22 +6,26 @@ Both action triples use the standard trimodule slot layout, so
 ``actA.op_R(x, y, b)`` evaluates the B x A x A action with the B element
 in the first tensor slot, and so on.
 
-The twenty coupling conditions are transcribed one member at a time; the
-bicrossed product below is the independent oracle for that transcription.
+The twenty coupling conditions are written out once, in ``CONDITIONS``, as
+chained identities in Python syntax over three forms of term: a slot
+letter (a basis vector), a twist applied to a slot letter (its column),
+and a product or action applied to three terms.
+``report.compile_identity`` turns each into closures on first use.  The
+bicrossed product below is the independent oracle for that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .algebra import TernaryHomAlgebra
+from .linalg import mat_columns
 from .report import (
     DEFAULT_MAX_VIOLATIONS,
     VECTOR,
     LawReport,
     Report,
-    check_laws,
+    check_identities,
     check_mode,
     mode_residuals,
 )
@@ -45,102 +49,52 @@ class MatchedPairData:
     actB: TrimoduleActions  # B x B x A -> A and friends
 
 
-def _conditions(mp: MatchedPairData):
-    """The coupling conditions as (number, arg pattern, member builder).
-
-    Pattern letters give each quantified argument's algebra; builders
-    return the three members whose chained equality (or vanishing sum)
-    the condition asserts.
-    """
-    muA = mp.A.mu_vec
-    muB = mp.B.mu_vec
-    LA, RA, MA = mp.actA.op_L, mp.actA.op_R, mp.actA.op_M
-    LB, RB, MB = mp.actB.op_L, mp.actB.op_R, mp.actB.op_M
-    A1, A2 = mp.A.apply_alpha1, mp.A.apply_alpha2
-    B1, B2 = mp.B.apply_alpha1, mp.B.apply_alpha2
-
-    return [
-        ("1", "AAABB", lambda x, y, z, a, b: [
-            muA(LB(a, b, x), A1(y), A2(z)),
-            LB(B1(a), RA(x, y, b), A2(z)),
-            LB(B1(a), B2(b), muA(x, y, z))]),
-        ("2", "AAABB", lambda x, y, z, a, b: [
-            muA(MB(a, b, x), A1(y), A2(z)),
-            LB(B1(a), MA(x, y, b), A2(z)),
-            MB(B1(a), RA(y, z, b), A2(x))]),
-        ("3", "AAABB", lambda x, y, z, a, b: [
-            muA(RB(a, b, x), A1(y), A2(z)),
-            muA(A1(x), LB(a, b, y), A2(z)),
-            RB(B2(a), RA(y, z, b), A1(x))]),
-        ("4", "AAABB", lambda x, y, z, a, b: [
-            LB(LA(x, y, a), B1(b), A2(z)),
-            muA(A1(x), RB(a, b, y), A2(z)),
-            muA(A1(x), A2(y), LB(a, b, z))]),
-        ("5", "AAABB", lambda x, y, z, a, b: [
-            LB(MA(x, y, a), B1(b), A2(z)),
-            muA(A1(x), MB(a, b, y), A2(z)),
-            RB(B2(a), MA(y, z, b), A1(x))]),
-        ("6", "AAABB", lambda x, y, z, a, b: [
-            LB(RA(x, y, a), B1(b), A2(z)),
-            LB(B1(a), LA(x, y, b), A2(z)),
-            MB(B1(a), MA(y, z, b), A2(x))]),
-        ("7", "AAABB", lambda x, y, z, a, b: [
-            MB(LA(x, y, a), B2(b), A1(z)),
-            RB(MA(y, z, a), B2(b), A1(x)),
-            muA(A1(x), A2(y), MB(a, b, z))]),
-        ("8", "AAABB", lambda x, y, z, a, b: [
-            MB(MA(x, y, a), B2(b), A1(z)),
-            RB(RA(y, z, a), B2(b), A1(x)),
-            RB(B2(a), LA(y, z, b), A1(x))]),
-        ("9", "AAABB", lambda x, y, z, a, b: [
-            MB(RA(x, y, a), B2(b), A1(z)),
-            MB(B1(a), B2(b), muA(x, y, z)),
-            MB(B1(a), LA(y, z, b), A2(x))]),
-        ("10", "AAABB", lambda x, y, z, a, b: [
-            RB(B1(a), B2(b), muA(x, y, z)),
-            RB(LA(y, z, a), B2(b), A1(x)),
-            muA(A1(x), A2(y), RB(a, b, z))]),
-        ("11", "AABBB", lambda x, y, a, b, c: [
-            muB(LA(x, y, a), B1(b), B2(c)),
-            LA(A1(x), RB(a, b, y), B2(c)),
-            LA(A1(x), A2(y), muB(a, b, c))]),
-        ("12", "AABBB", lambda x, y, a, b, c: [
-            muB(MA(x, y, a), B1(b), B2(c)),
-            LA(A1(x), MB(a, b, y), B2(c)),
-            MA(A1(x), RB(b, c, y), B2(a))]),
-        ("13", "AABBB", lambda x, y, a, b, c: [
-            muB(RA(x, y, a), B1(b), B2(c)),
-            muB(B1(a), LA(x, y, b), B2(c)),
-            RA(A2(x), RB(b, c, y), B1(a))]),
-        ("14", "AABBB", lambda x, y, a, b, c: [
-            LA(LB(a, b, x), A1(y), B2(c)),
-            muB(B1(a), RA(x, y, b), B2(c)),
-            muB(B1(a), B2(b), LA(x, y, c))]),
-        ("15", "AABBB", lambda x, y, a, b, c: [
-            LA(MB(a, b, x), A1(y), B2(c)),
-            muB(B1(a), MA(x, y, b), B2(c)),
-            RA(A2(x), MB(b, c, y), B1(a))]),
-        ("16", "AABBB", lambda x, y, a, b, c: [
-            LA(RB(a, b, x), A1(y), B2(c)),
-            LA(A1(x), LB(a, b, y), B2(c)),
-            MA(A1(x), MB(b, c, y), B2(a))]),
-        ("17", "AABBB", lambda x, y, a, b, c: [
-            MA(LB(a, b, x), A2(y), B1(c)),
-            RA(MB(b, c, x), A2(y), B1(a)),
-            muB(B1(a), B2(b), MA(x, y, c))]),
-        ("18", "AABBB", lambda x, y, a, b, c: [
-            MA(MB(a, b, x), A2(y), B1(c)),
-            RA(RB(b, c, x), A2(y), B1(a)),
-            RA(A2(x), LB(b, c, y), B1(a))]),
-        ("19", "AABBB", lambda x, y, a, b, c: [
-            MA(RB(a, b, x), A2(y), B1(c)),
-            MA(A1(x), A2(y), muB(a, b, c)),
-            MA(A1(x), LB(b, c, y), B2(a))]),
-        ("20", "AABBB", lambda x, y, a, b, c: [
-            RA(A1(x), A2(y), muB(a, b, c)),
-            RA(LB(b, c, x), A2(y), B1(a)),
-            muB(B1(a), B2(b), RA(x, y, c))]),
-    ]
+# The coupling conditions as written identities (report.compile_identity):
+# x, y, z run over the basis of A and a, b, c over that of B; A1, A2, B1,
+# B2 are their twists, muA, muB their products, LA, RA, MA the actions of
+# A on B and LB, RB, MB those of B on A.
+CONDITIONS = {
+    "1": "muA(LB(a, b, x), A1(y), A2(z)) == LB(B1(a), RA(x, y, b), A2(z))"
+         " == LB(B1(a), B2(b), muA(x, y, z))",
+    "2": "muA(MB(a, b, x), A1(y), A2(z)) == LB(B1(a), MA(x, y, b), A2(z))"
+         " == MB(B1(a), RA(y, z, b), A2(x))",
+    "3": "muA(RB(a, b, x), A1(y), A2(z)) == muA(A1(x), LB(a, b, y), A2(z))"
+         " == RB(B2(a), RA(y, z, b), A1(x))",
+    "4": "LB(LA(x, y, a), B1(b), A2(z)) == muA(A1(x), RB(a, b, y), A2(z))"
+         " == muA(A1(x), A2(y), LB(a, b, z))",
+    "5": "LB(MA(x, y, a), B1(b), A2(z)) == muA(A1(x), MB(a, b, y), A2(z))"
+         " == RB(B2(a), MA(y, z, b), A1(x))",
+    "6": "LB(RA(x, y, a), B1(b), A2(z)) == LB(B1(a), LA(x, y, b), A2(z))"
+         " == MB(B1(a), MA(y, z, b), A2(x))",
+    "7": "MB(LA(x, y, a), B2(b), A1(z)) == RB(MA(y, z, a), B2(b), A1(x))"
+         " == muA(A1(x), A2(y), MB(a, b, z))",
+    "8": "MB(MA(x, y, a), B2(b), A1(z)) == RB(RA(y, z, a), B2(b), A1(x))"
+         " == RB(B2(a), LA(y, z, b), A1(x))",
+    "9": "MB(RA(x, y, a), B2(b), A1(z)) == MB(B1(a), B2(b), muA(x, y, z))"
+         " == MB(B1(a), LA(y, z, b), A2(x))",
+    "10": "RB(B1(a), B2(b), muA(x, y, z)) == RB(LA(y, z, a), B2(b), A1(x))"
+          " == muA(A1(x), A2(y), RB(a, b, z))",
+    "11": "muB(LA(x, y, a), B1(b), B2(c)) == LA(A1(x), RB(a, b, y), B2(c))"
+          " == LA(A1(x), A2(y), muB(a, b, c))",
+    "12": "muB(MA(x, y, a), B1(b), B2(c)) == LA(A1(x), MB(a, b, y), B2(c))"
+          " == MA(A1(x), RB(b, c, y), B2(a))",
+    "13": "muB(RA(x, y, a), B1(b), B2(c)) == muB(B1(a), LA(x, y, b), B2(c))"
+          " == RA(A2(x), RB(b, c, y), B1(a))",
+    "14": "LA(LB(a, b, x), A1(y), B2(c)) == muB(B1(a), RA(x, y, b), B2(c))"
+          " == muB(B1(a), B2(b), LA(x, y, c))",
+    "15": "LA(MB(a, b, x), A1(y), B2(c)) == muB(B1(a), MA(x, y, b), B2(c))"
+          " == RA(A2(x), MB(b, c, y), B1(a))",
+    "16": "LA(RB(a, b, x), A1(y), B2(c)) == LA(A1(x), LB(a, b, y), B2(c))"
+          " == MA(A1(x), MB(b, c, y), B2(a))",
+    "17": "MA(LB(a, b, x), A2(y), B1(c)) == RA(MB(b, c, x), A2(y), B1(a))"
+          " == muB(B1(a), B2(b), MA(x, y, c))",
+    "18": "MA(MB(a, b, x), A2(y), B1(c)) == RA(RB(b, c, x), A2(y), B1(a))"
+          " == RA(A2(x), LB(b, c, y), B1(a))",
+    "19": "MA(RB(a, b, x), A2(y), B1(c)) == MA(A1(x), A2(y), muB(a, b, c))"
+          " == MA(A1(x), LB(b, c, y), B2(a))",
+    "20": "RA(A1(x), A2(y), muB(a, b, c)) == RA(LB(b, c, x), A2(y), B1(a))"
+          " == muB(B1(a), B2(b), RA(x, y, c))",
+}
 
 
 def check_matched_pair(mp: MatchedPairData, mode: str = "total",
@@ -154,25 +108,26 @@ def check_matched_pair(mp: MatchedPairData, mode: str = "total",
     modA = BihomModule(mp.A.dim, mp.A.alpha1, mp.A.alpha2)
     for label, alg, mod, act in (("actA", mp.A, modB, mp.actA),
                                  ("actB", mp.B, modA, mp.actB)):
-        sub = check_trimodule(alg, mod, act, mode=mode, level="quasi",
-                              max_violations=max_violations)
-        for lr in sub.laws:
+        for lr in check_trimodule(alg, mod, act, mode, "quasi",
+                                  max_violations).laws:
             lr.law = f"matchedpair.prereq.{label}.{lr.law}"
             report.add(lr)
 
     ea = [{i: ONE} for i in range(mp.A.dim)]
     eb = [{i: ONE} for i in range(mp.B.dim)]
+    names = dict(dict.fromkeys("xyz", ea), **dict.fromkeys("abc", eb),
+                 A1=mat_columns(mp.A.alpha1), A2=mat_columns(mp.A.alpha2),
+                 B1=mat_columns(mp.B.alpha1), B2=mat_columns(mp.B.alpha2),
+                 muA=mp.A.mu_vec, muB=mp.B.mu_vec,
+                 LA=mp.actA.op_L, RA=mp.actA.op_R, MA=mp.actA.op_M,
+                 LB=mp.actB.op_L, RB=mp.actB.op_R, MB=mp.actB.op_M)
     prefix = "mp" if mode == "total" else "pp"
-    residual = mode_residuals(mode, VECTOR, chained=True)
-    for num, pattern, members in _conditions(mp):
-        lr = LawReport(f"matchedpair.{mode}.{prefix}{num}", f"{prefix}{num}")
-        report.add(lr)
-        bases = [ea if ch == "A" else eb for ch in pattern]
-        check_laws([lr], residual,
-                   product(*(range(len(basis)) for basis in bases)),
-                   lambda idx: members(*(basis[i]
-                                         for basis, i in zip(bases, idx))),
-                   module_vec_str, max_violations)
+    conditions = [LawReport(f"matchedpair.{mode}.{prefix}{num}",
+                            f"{prefix}{num}") for num in CONDITIONS]
+    report.laws += conditions
+    check_identities(conditions, CONDITIONS.values(), "xyzabc", names,
+                     mode_residuals(mode, VECTOR, chained=True)[0],
+                     module_vec_str, max_violations)
 
     if full:
         # the braiding and intertwining laws of both action triples

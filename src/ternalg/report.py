@@ -10,8 +10,11 @@ per identity and expose a single ``passed`` flag.
 
 from __future__ import annotations
 
+import ast
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from itertools import product
 
 from .linalg import vec_sub, vec_sum
 
@@ -179,3 +182,48 @@ def check_laws(laws: list[LawReport], residuals: list, indices, members,
             else:
                 lr.truncated = True
                 pending = [e for e in pending if e is not entry]
+
+
+@lru_cache(maxsize=None)
+def compile_identity(text: str, slots: str):
+    """The slot letters of ``t1 == t2 [== t3]``, in ``slots`` order, and a
+    function of ``(idx, names)`` giving its members, each a slot letter
+    ``s`` (the basis vector ``names[s][idx[k]]``, ``s`` the k-th letter),
+    a map of one, ``f(s)`` (the column ``names[f][idx[k]]``), or a call
+    ``F(t, t, t)`` of ``names[F]``.  Parsed with ``ast`` on first use."""
+    chain = ast.parse(text, mode="eval").body
+    if not isinstance(chain, ast.Compare) or len(chain.ops) > 2 \
+            or not all(isinstance(op, ast.Eq) for op in chain.ops):
+        raise ValueError(f"not a chain of two or three members: {text}")
+    nodes = list(ast.walk(chain))
+    used = {node.id for node in nodes if isinstance(node, ast.Name)} - {
+        getattr(node.func, "id", None) for node in nodes
+        if isinstance(node, ast.Call)}
+    letters = "".join(s for s in slots if s in used)
+    pos = {s: k for k, s in enumerate(letters)}
+
+    def term(node):
+        call = isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        name, args = (node.func.id, node.args) if call else (None, [node])
+        if len(args) == 3:
+            f, g, h = map(term, args)
+            return lambda idx, names: names[name](
+                f(idx, names), g(idx, names), h(idx, names))
+        if len(args) == 1 and getattr(args[0], "id", None) in pos:
+            name, k = name or args[0].id, pos[args[0].id]
+            return lambda idx, names: names[name][idx[k]]
+        raise ValueError(f"not a term: {ast.unparse(node)}")
+
+    members = [term(node) for node in (chain.left, *chain.comparators)]
+    return letters, lambda idx, names: [m(idx, names) for m in members]
+
+
+def check_identities(laws: list[LawReport], texts, slots: str, names: dict,
+                     residual, fmt, cap: int) -> None:
+    """``check_laws`` for each identity of ``texts`` against its law, each
+    slot letter ``s`` it uses running over ``names[s]``, in ``slots`` order."""
+    for lr, text in zip(laws, texts):
+        letters, members = compile_identity(text, slots)
+        check_laws([lr], [residual],
+                   product(*(range(len(names[s])) for s in letters)),
+                   partial(members, names=names), fmt, cap)

@@ -22,7 +22,6 @@ from .algebra import MuTensor, TernaryHomAlgebra, intertwining
 from .linalg import (
     Matrix,
     SparseVec,
-    mat_apply,
     mat_block_diag,
     mat_columns,
     trilinear,
@@ -32,7 +31,7 @@ from .report import (
     VECTOR,
     LawReport,
     Report,
-    check_laws,
+    check_identities,
     check_mode,
     difference,
     mode_residuals,
@@ -74,6 +73,42 @@ class TrimoduleActions:
 module_vec_str = partial(vec_str, basis="f")
 
 
+# The trimodule laws as written identities (``report.compile_identity``):
+# a, b, c, d run over the basis of A and v over that of V; a1, a2 are the
+# twists of A, b1, b2 those of V, and mu is the product of A.
+TRIMODULE = {
+    "1": "L(a1(a), a2(b), L(c, d, v)) == L(mu(a, b, c), a1(d), b2(v))"
+         " == L(a1(a), mu(b, c, d), b2(v))",
+    "2": "R(a1(c), a2(d), R(a, b, v)) == R(a2(a), mu(b, c, d), b1(v))"
+         " == R(mu(a, b, c), a2(d), b1(v))",
+    "4": "M(a1(a), a2(d), L(b, c, v)) == L(a1(a), a2(b), M(c, d, v))"
+         " == M(mu(a, b, c), a2(d), b1(v))",
+    "5": "M(a1(a), a2(d), R(b, c, v)) == R(a1(c), a2(d), M(a, b, v))"
+         " == M(a1(a), mu(b, c, d), b2(v))",
+    "6": "R(a1(c), a2(d), L(a, b, v)) == L(a1(a), a2(b), R(c, d, v))"
+         " == M(a1(a), a2(d), M(b, c, v))",
+}
+# The braiding of the middle action, law 3 with beta1 and law 3.2 with
+# beta2; x, y and z run over the basis of A too.
+BRAIDING = [
+    "M(a1(a), a2(z), M(a1(b), a2(y), M(a1(c), a2(x), b1(v))))"
+    " == M(mu(a1(a), a1(b), a1(c)), mu(a2(x), a2(y), a2(z)), b1(v))",
+    "M(a1(a), a2(z), M(a1(b), a2(y), M(a1(c), a2(x), b2(v))))"
+    " == M(mu(a1(a), a1(b), a1(c)), mu(a2(x), a2(y), a2(z)), b2(v))",
+]
+
+
+def _names(alg: TernaryHomAlgebra, mod: BihomModule,
+           act: TrimoduleActions) -> dict:
+    """The namespace ``TRIMODULE`` and ``BRAIDING`` are written in."""
+    ea = [{i: ONE} for i in range(alg.dim)]
+    return dict(dict.fromkeys("abcdxyz", ea),
+                v=[{i: ONE} for i in range(mod.dim)],
+                a1=mat_columns(alg.alpha1), a2=mat_columns(alg.alpha2),
+                b1=mat_columns(mod.beta1), b2=mat_columns(mod.beta2),
+                mu=alg.mu_vec, L=act.op_L, R=act.op_R, M=act.op_M)
+
+
 def check_trimodule(alg: TernaryHomAlgebra, mod: BihomModule,
                     act: TrimoduleActions, mode: str = "total",
                     level: str = "quasi",
@@ -87,48 +122,13 @@ def check_trimodule(alg: TernaryHomAlgebra, mod: BihomModule,
     check_mode(mode, ("total", "partial"))
     if level not in ("quasi", "full"):
         raise ValueError(f"unknown level {level!r}")
-    n, m = alg.dim, mod.dim
-    ea = [{i: ONE} for i in range(n)]
-    fv = [{i: ONE} for i in range(m)]
-    a1, a2 = alg.apply_alpha1, alg.apply_alpha2
-    b1 = lambda v: mat_apply(mod.beta1, v)
-    b2 = lambda v: mat_apply(mod.beta2, v)
-    mu = alg.mu_vec
-    L, R, M = act.op_L, act.op_R, act.op_M
-
-    core = [
-        ("1", lambda a, b, c, d, v: [
-            L(a1(a), a2(b), L(c, d, v)),
-            L(mu(a, b, c), a1(d), b2(v)),
-            L(a1(a), mu(b, c, d), b2(v))]),
-        ("2", lambda a, b, c, d, v: [
-            R(a1(c), a2(d), R(a, b, v)),
-            R(a2(a), mu(b, c, d), b1(v)),
-            R(mu(a, b, c), a2(d), b1(v))]),
-        ("4", lambda a, b, c, d, v: [
-            M(a1(a), a2(d), L(b, c, v)),
-            L(a1(a), a2(b), M(c, d, v)),
-            M(mu(a, b, c), a2(d), b1(v))]),
-        ("5", lambda a, b, c, d, v: [
-            M(a1(a), a2(d), R(b, c, v)),
-            R(a1(c), a2(d), M(a, b, v)),
-            M(a1(a), mu(b, c, d), b2(v))]),
-        ("6", lambda a, b, c, d, v: [
-            R(a1(c), a2(d), L(a, b, v)),
-            L(a1(a), a2(b), R(c, d, v)),
-            M(a1(a), a2(d), M(b, c, v))]),
-    ]
-
     prefix = "tr" if mode == "total" else "pr"
-    report = Report()
-    residual = mode_residuals(mode, VECTOR, chained=True)
-    for num, members in core:
-        lr = LawReport(f"trimodule.{prefix}{num}", f"{prefix}{num}")
-        report.add(lr)
-        check_laws([lr], residual,
-                   product(range(n), range(n), range(n), range(n), range(m)),
-                   lambda idx: members(*(ea[i] for i in idx[:4]), fv[idx[4]]),
-                   module_vec_str, max_violations)
+    report = Report([LawReport(f"trimodule.{prefix}{num}", f"{prefix}{num}")
+                     for num in TRIMODULE])
+    check_identities(report.laws, TRIMODULE.values(), "abcdv",
+                     _names(alg, mod, act),
+                     mode_residuals(mode, VECTOR, chained=True)[0],
+                     module_vec_str, max_violations)
 
     if level == "full":
         braids = [LawReport(f"trimodule.{prefix}{num}", f"{prefix}{num}")
@@ -145,26 +145,9 @@ def check_trimodule(alg: TernaryHomAlgebra, mod: BihomModule,
 def braiding_laws(alg: TernaryHomAlgebra, mod: BihomModule,
                   act: TrimoduleActions, laws: list[LawReport],
                   cap: int) -> None:
-    """Braiding of the middle action, for beta = beta1, beta2 in turn:
-
-    M(a1 a, a2 z, M(a1 b, a2 y, M(a1 c, a2 x, beta v)))
-        = M(mu(a1 a, a1 b, a1 c), mu(a2 x, a2 y, a2 z), beta v)
-
-    over basis vectors a, b, c, x, y, z of the algebra and v of the module.
-    """
-    a1, a2 = mat_columns(alg.alpha1), mat_columns(alg.alpha2)
-    M, mu = act.op_M, alg.mu_vec
-    for lr, beta in zip(laws, (mod.beta1, mod.beta2)):
-        bv = mat_columns(beta)
-
-        def members(idx):
-            a, b, c, x, y, z, v = idx
-            return (M(a1[a], a2[z], M(a1[b], a2[y], M(a1[c], a2[x], bv[v]))),
-                    M(mu(a1[a], a1[b], a1[c]), mu(a2[x], a2[y], a2[z]), bv[v]))
-
-        check_laws([lr], [difference],
-                   product(*[range(alg.dim)] * 6, range(mod.dim)), members,
-                   module_vec_str, cap)
+    """The two ``BRAIDING`` identities, for beta = beta1 and beta2."""
+    check_identities(laws, BRAIDING, "abcxyzv", _names(alg, mod, act),
+                     difference, module_vec_str, cap)
 
 
 def intertwining_laws(alg: TernaryHomAlgebra, mod: BihomModule,
@@ -187,16 +170,10 @@ def regular_actions(alg: TernaryHomAlgebra, which: str = "lmr"
     if not alg.check_multiplicativity(max_violations=1).passed:
         raise NotMultiplicative("twist maps do not respect the product")
     mod = BihomModule(alg.dim, alg.alpha1, alg.alpha2)
-    act = TrimoduleActions()
-    for key, out in alg.mu.items():
-        r, s, t = key
-        if which in ("left", "lmr"):
-            act.L[(r, s, t)] = dict(out)
-        if which in ("right", "lmr"):
-            act.R[(r, s, t)] = dict(out)
-        if which == "lmr":
-            act.M[(r, s, t)] = dict(out)
-    return mod, act
+    # L, R and M are each a copy of mu, or empty, as ``which`` asks
+    copies = [{key: dict(out) for key, out in alg.mu.items()} if on else {}
+              for on in (which != "right", which != "left", which == "lmr")]
+    return mod, TrimoduleActions(*copies)
 
 
 def block_product(A: TernaryHomAlgebra, B: TernaryHomAlgebra,

@@ -248,6 +248,17 @@ def test_map_of_another_size_is_refused(call, size):
         call(nilp(), mat_identity(size))
 
 
+def refuse(*args):
+    raise AssertionError("a law was checked after one had failed")
+
+
+def test_isomorphism_stops_at_the_first_failing_law(monkeypatch):
+    # 2 id sends mu(e1, e1, e1) = e2 to 2 e2 on one side and 8 e2 on the
+    # other, so the product law fails and the twist laws need not run
+    monkeypatch.setattr("ternalg.algebra.twist_intertwining", refuse)
+    assert not is_algebra_isomorphism(mat([[2, 0], [0, 2]]), nilp(), nilp())
+
+
 def test_twist_across_radicands_is_refused():
     # rho fixes e1, so the probe never multiplies sqrt(2) by sqrt(3)
     a = classical(2, {(0, 0, 0): {0: QuadScalar(0, 1, 2)}}, radicand=2)

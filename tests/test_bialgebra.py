@@ -20,7 +20,7 @@ from ternalg.coalgebra import TernaryHomCoalgebra
 from ternalg.linalg import mat_identity
 from ternalg.scalars import QuadScalar
 
-from test_algebra import DENSE_TW1, NILP, RHO1, mat, mu_from
+from test_algebra import DENSE_TW1, NILP, RHO1, mat, mu_from, refuse
 from test_coalgebra import DENSE_D, NILP_D, RHO_NILP, delta_from
 
 
@@ -200,6 +200,14 @@ def test_equivalence_swap():
 def test_equivalence_refuses_a_map_of_another_size(check):
     with pytest.raises(ValueError, match="^dimension mismatch$"):
         check(mat_identity(3), pb2(), eq2())
+
+
+def test_equivalence_stops_at_the_first_failing_law(monkeypatch):
+    # 2 id breaks the product law; no other law of either half need run
+    for name in ("algebra.twist_intertwining", "coalgebra.twist_intertwining",
+                 "coalgebra._comorphism_defects"):
+        monkeypatch.setattr(f"ternalg.{name}", refuse)
+    assert not is_bialgebra_equivalence(mat([[2, 0], [0, 2]]), pb2(), pb2())
 
 
 def test_equivalence_rejects_identity_and_singular():

@@ -12,6 +12,8 @@ from ternalg.coalgebra import (
 from ternalg.linalg import mat_identity
 from ternalg.scalars import QuadScalar
 
+from test_algebra import refuse
+
 
 def q(x):
     return QuadScalar(x)
@@ -151,6 +153,13 @@ def test_morphism_composition():
         from ternalg.linalg import mat_mul
 
         assert check_coalgebra_morphism(mat_mul(f, f), c, c).passed
+
+
+def test_isomorphism_stops_at_the_first_failing_law(monkeypatch):
+    # 2 id scales the coproduct of e1 by 8 on one side and 2 on the other
+    monkeypatch.setattr("ternalg.coalgebra.twist_intertwining", refuse)
+    c = nilp_co()
+    assert not is_coalgebra_isomorphism(mat([[2, 0], [0, 2]]), c, c)
 
 
 @pytest.mark.parametrize("size", [1, 3])

@@ -1,8 +1,12 @@
 import random
+from itertools import product
+
+import pytest
 
 from ternalg.algebra import TernaryHomAlgebra, classical
 from ternalg.linalg import mat_identity
 from ternalg.matched_pair import (
+    CONDITIONS,
     MatchedPairData,
     bicrossed_product,
     check_matched_pair,
@@ -15,7 +19,16 @@ from ternalg.trimodule import (
     semidirect_product,
 )
 
-from test_algebra import DENSE, RHO1, mat, mu_from
+from test_algebra import (
+    DENSE,
+    RHO1,
+    _change_of_basis,
+    _transport,
+    _verdicts,
+    mat,
+    mu_from,
+)
+from test_trimodule import check_table, namespaces, transport_actions
 
 
 def q(x):
@@ -114,3 +127,31 @@ def test_bicrossed_oracle_equivalence():
             assert cond == assoc, (mode, cond, assoc)
             checked += 1
     assert checked > 40
+
+
+def test_condition_table_is_well_formed(monkeypatch):
+    _, _, _, mp = degenerate_pair()
+    names = namespaces(monkeypatch, "ternalg.matched_pair",
+                       lambda: check_matched_pair(mp))["xyzabc"]
+    assert list(CONDITIONS) == [str(num) for num in range(1, 21)]
+    texts = list(CONDITIONS.values())
+    check_table(texts[:10], "xyzabc", "xyzab", names)
+    check_table(texts[10:], "xyzabc", "xyabc", names)
+
+
+@pytest.mark.parametrize("radicand", [1, 2])
+def test_change_of_basis_keeps_every_verdict(radicand):
+    rng = random.Random(f"matched-pair-{radicand}")
+    pairs = [degenerate_pair()[3]] + [random_pair(rng) for _ in range(10)]
+    seen = set()
+    for mp in pairs:
+        ta = _change_of_basis(rng, mp.A.dim, radicand)
+        tb = _change_of_basis(rng, mp.B.dim, radicand)
+        moved = MatchedPairData(_transport(ta, mp.A), _transport(tb, mp.B),
+                                transport_actions(ta, tb, mp.actA),
+                                transport_actions(tb, ta, mp.actB))
+        for mode, full in product(("total", "partial"), (False, True)):
+            before = _verdicts(check_matched_pair(mp, mode, full, 1))
+            assert _verdicts(check_matched_pair(moved, mode, full, 1)) == before
+            seen.update(passed for _, passed in before)
+    assert seen == {True, False}

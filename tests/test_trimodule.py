@@ -1,11 +1,23 @@
+import ast
 import random
+from itertools import product
 
 import pytest
 
 from ternalg.algebra import TernaryHomAlgebra, classical
-from ternalg.linalg import mat_identity
+from ternalg.linalg import (
+    mat_apply,
+    mat_columns,
+    mat_identity,
+    mat_inverse,
+    mat_mul,
+    trilinear,
+)
+from ternalg.report import check_identities, compile_identity
 from ternalg.scalars import QuadScalar
 from ternalg.trimodule import (
+    BRAIDING,
+    TRIMODULE,
     BihomModule,
     NotMultiplicative,
     TrimoduleActions,
@@ -14,7 +26,16 @@ from ternalg.trimodule import (
     semidirect_product,
 )
 
-from test_algebra import DENSE, NILP, RHO1, mat, mu_from
+from test_algebra import (
+    DENSE,
+    NILP,
+    RHO1,
+    _change_of_basis,
+    _transport,
+    _verdicts,
+    mat,
+    mu_from,
+)
 
 
 def q(x):
@@ -130,3 +151,113 @@ def test_semidirect_oracle_equivalence():
             assert tri == sd, (mode, tri, sd)
             checked += 1
     assert checked > 50
+
+
+# -- the written identities ------------------------------------------------
+
+
+def identity_parts(text):
+    """The calls and the slot letters of a written identity, read from its
+    syntax tree: a slot letter is a name that is not called."""
+    nodes = list(ast.walk(ast.parse(text, mode="eval")))
+    calls = [node for node in nodes if isinstance(node, ast.Call)]
+    called = {id(call.func) for call in calls}
+    letters = {node.id for node in nodes
+               if isinstance(node, ast.Name) and id(node) not in called}
+    return calls, letters
+
+
+def check_table(texts, slots, pattern, names):
+    """Each identity parses, uses only ``names``, applies each operation to
+    three terms and each map to one slot letter, and quantifies over
+    exactly the letters of ``pattern``."""
+    for text in texts:
+        calls, letters = identity_parts(text)
+        assert letters == set(pattern) and letters <= set(names), text
+        for call in calls:
+            assert isinstance(call.func, ast.Name) and not call.keywords
+            value = names[call.func.id]
+            if callable(value):
+                assert len(call.args) == 3, ast.unparse(call)
+            else:
+                arg, = call.args
+                assert isinstance(arg, ast.Name) and arg.id in letters
+        assert compile_identity(text, slots)[0] == pattern
+
+
+def namespaces(monkeypatch, module, run):
+    """The namespace ``module`` hands ``check_identities`` for each slot
+    order while ``run()`` runs."""
+    seen = {}
+
+    def spy(laws, texts, slots, names, *rest):
+        seen[slots] = names
+        check_identities(laws, texts, slots, names, *rest)
+
+    monkeypatch.setattr(f"{module}.check_identities", spy)
+    run()
+    return seen
+
+
+def test_trimodule_tables_are_well_formed(monkeypatch):
+    alg = t2h1()
+    mod, act = regular_actions(alg)
+    names = namespaces(monkeypatch, "ternalg.trimodule",
+                       lambda: check_trimodule(alg, mod, act, level="full"))
+    assert list(TRIMODULE) == ["1", "2", "4", "5", "6"]
+    check_table(TRIMODULE.values(), "abcdv", "abcdv", names["abcdv"])
+    assert len(BRAIDING) == 2
+    check_table(BRAIDING, "abcxyzv", "abcxyzv", names["abcxyzv"])
+
+
+@pytest.mark.parametrize("text", [
+    "L(a, b)", "L(a, b, v) != L(a, b, v)", "a1(L(a, b, v)) == v",
+    "a1(w) == v", "L(a, b, v) == w", "L(a, b, v) == v == v == v",
+    "L(a, b, v=v) == v"])
+def test_malformed_identities_are_refused(text):
+    with pytest.raises(ValueError):
+        compile_identity(text, "abv")
+
+
+# -- transport along a change of basis ------------------------------------
+
+
+def transport_actions(ta, tv, act):
+    """The actions of an algebra on V after the changes of basis ``ta`` of
+    the algebra and ``tv`` of V: op'(x, y, v) = tv op(ta^-1 x, ta^-1 y,
+    tv^-1 v), slot by slot."""
+    ia, iv = mat_columns(mat_inverse(ta)), mat_columns(mat_inverse(tv))
+
+    def move(tensor, bases):
+        return {key: mat_apply(tv, trilinear(tensor, *map(list.__getitem__,
+                                                          bases, key)))
+                for key in product(*(range(len(b)) for b in bases))}
+
+    return TrimoduleActions(move(act.L, (ia, ia, iv)),
+                            move(act.R, (iv, ia, ia)),
+                            move(act.M, (ia, iv, ia)))
+
+
+def transport_twist(t, beta):
+    return mat_mul(mat_mul(t, beta), mat_inverse(t))
+
+
+@pytest.mark.parametrize("radicand", [1, 2])
+def test_change_of_basis_keeps_every_verdict(radicand):
+    rng = random.Random(f"trimodule-{radicand}")
+    alg = t2h1()
+    setups = [(alg, *regular_actions(alg, which)) for which in ("lmr", "left")]
+    setups += [random_setup(rng) for _ in range(10)]
+    seen = set()
+    for alg, mod, act in setups:
+        ta = _change_of_basis(rng, alg.dim, radicand)
+        tv = _change_of_basis(rng, mod.dim, radicand)
+        moved = (_transport(ta, alg),
+                 BihomModule(mod.dim, transport_twist(tv, mod.beta1),
+                             transport_twist(tv, mod.beta2)),
+                 transport_actions(ta, tv, act))
+        for mode, level in product(("total", "partial"), ("quasi", "full")):
+            before = _verdicts(check_trimodule(alg, mod, act, mode, level, 1))
+            assert _verdicts(check_trimodule(*moved, mode, level, 1)) == before
+            seen.update(passed for _, passed in before)
+    assert seen == {True, False}
