@@ -26,12 +26,13 @@ from .linalg import (
     mat_invertible,
     mat_is_identity,
     mat_radicand,
+    pair_trilinear,
     trilinear,
     vec_add_into,
 )
 from .report import (
     DEFAULT_MAX_VIOLATIONS,
-    VECTOR,
+    PAIR_VECTOR,
     LawReport,
     Report,
     check_laws,
@@ -40,7 +41,13 @@ from .report import (
     mode_residuals,
     vec_str,
 )
-from .scalars import ONE as _ONE, ZERO as _ZERO, RadicandMismatch
+from .scalars import (
+    ONE as _ONE,
+    ZERO as _ZERO,
+    RadicandMismatch,
+    lift,
+    unlift,
+)
 
 MuTensor = dict  # dict[tuple[int, int, int], SparseVec]
 
@@ -97,21 +104,30 @@ class TernaryHomAlgebra:
 
     # -- associativity --------------------------------------------------
 
-    def _assoc_terms(self, idx):
-        i1, i2, i3, i4, i5 = idx
-        a1 = self._alpha1_cols
-        a2 = self._alpha2_cols
-        t1 = self.mu_vec(self.mu_basis(i1, i2, i3), a1[i4], a2[i5])
-        t2 = self.mu_vec(a1[i1], self.mu_basis(i2, i3, i4), a2[i5])
-        t3 = self.mu_vec(a1[i1], a2[i2], self.mu_basis(i3, i4, i5))
-        return t1, t2, t3
-
     def check_associativity(self, mode: str = "total",
                             max_violations: int = DEFAULT_MAX_VIOLATIONS) -> Report:
         laws = mode_laws("assoc", ("qt1a", "qt1b", "qp1", "qw1"), mode)
-        check_laws(laws, mode_residuals(mode, VECTOR),
-                   product(range(self.dim), repeat=5), self._assoc_terms,
-                   vec_str, max_violations)
+        d, (den, mu), (den1, a1), (den2, a2) = lift(
+            self.mu, self._alpha1_cols, self._alpha2_cols)
+        # each member has degree mu^2 alpha1 alpha2: one scale for all
+        scale = den * den * den1 * den2
+        empty = {}
+
+        def members(idx):
+            i1, i2, i3, i4, i5 = idx
+            x = mu.get((i1, i2, i3), empty)
+            y = mu.get((i2, i3, i4), empty)
+            z = mu.get((i3, i4, i5), empty)
+            # a member whose inner product vanishes is empty: skip its call
+            return (x and pair_trilinear(mu, x, a1[i4], a2[i5], d),
+                    y and pair_trilinear(mu, a1[i1], y, a2[i5], d),
+                    z and pair_trilinear(mu, a1[i1], a2[i2], z, d))
+
+        check_laws(laws, mode_residuals(mode, PAIR_VECTOR),
+                   product(range(self.dim), repeat=5), members,
+                   lambda res: vec_str({i: unlift(a, b, scale, d)
+                                        for i, (a, b) in res.items()}),
+                   max_violations)
         return Report(laws)
 
     # -- multiplicativity of the twists ---------------------------------
@@ -133,8 +149,13 @@ class TernaryHomAlgebra:
     def operator_matrix(self, op, x: SparseVec, y: SparseVec) -> Matrix:
         """Matrix of z -> op(x, y, z) for one of op_L, op_R, op_M."""
         n = self.dim
-        cols = [op(x, y, {j: _ONE}) for j in range(n)]
+        cols = self.operator_columns(op, x, y)
         return [[cols[j].get(i, _ZERO) for j in range(n)] for i in range(n)]
+
+    def operator_columns(self, op, x: SparseVec, y: SparseVec
+                         ) -> list[SparseVec]:
+        """The sparse columns of ``operator_matrix(op, x, y)``."""
+        return [op(x, y, {j: _ONE}) for j in range(self.dim)]
 
     # -- constructions --------------------------------------------------
 

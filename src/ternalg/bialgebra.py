@@ -21,7 +21,7 @@ from .coalgebra import (
     Tensor3,
     check_coalgebra_morphism,
     comorphism_laws,
-    tensor3_map,
+    tensor3_apply,
 )
 from .duality import dualize_algebra, dualize_coalgebra
 from .linalg import Matrix, mat_columns, mat_invertible, vec_add_at, vec_sum
@@ -86,13 +86,12 @@ def check_compatibility(bi: TernaryBialgebra,
 
     def members(key):
         i, j, k = key
-        lmat = alg.operator_matrix(alg.op_L, a1c[i], a2c[j])
-        mmat = alg.operator_matrix(alg.op_M, a1c[i], a2c[k])
-        rmat = alg.operator_matrix(alg.op_R, a1c[j], a2c[k])
-        rhs = vec_sum((
-            tensor3_map(lmat, alg.alpha1, alg.alpha2, co.delta_basis(k)),
-            tensor3_map(alg.alpha1, mmat, alg.alpha2, co.delta_basis(j)),
-            tensor3_map(alg.alpha1, alg.alpha2, rmat, co.delta_basis(i))))
+        lcols = alg.operator_columns(alg.op_L, a1c[i], a2c[j])
+        mcols = alg.operator_columns(alg.op_M, a1c[i], a2c[k])
+        rcols = alg.operator_columns(alg.op_R, a1c[j], a2c[k])
+        rhs = vec_sum((tensor3_apply(lcols, a1c, a2c, co.delta_basis(k)),
+                       tensor3_apply(a1c, mcols, a2c, co.delta_basis(j)),
+                       tensor3_apply(a1c, a2c, rcols, co.delta_basis(i))))
         return co.delta_vec(alg.mu_basis(i, j, k)), rhs
 
     lr = LawReport("compat", "cp1")

@@ -19,18 +19,20 @@ from functools import lru_cache
 
 from .algebra import twist_intertwining
 from .linalg import (
+    PAIR_ZERO,
     Matrix,
     SparseVec,
     drop_zeros,
-    mat_column,
     mat_columns,
     mat_identity,
     mat_invertible,
+    pair_nonzero,
     vec_add_at,
     vec_sub,
 )
 from .report import (
     DEFAULT_MAX_VIOLATIONS,
+    PAIR,
     SCALAR,
     LawReport,
     Report,
@@ -39,11 +41,10 @@ from .report import (
     mode_laws,
     mode_residuals,
 )
-from .scalars import ZERO
+from .scalars import ZERO, lift, unlift
 
 DeltaTensor = dict  # dict[int, dict[tuple[int, int, int], QuadScalar]]
 Tensor3 = dict  # dict[tuple[int, int, int], QuadScalar]
-Tensor5 = dict  # dict[tuple[int, ...], QuadScalar]
 
 
 class TernaryHomCoalgebra:
@@ -69,40 +70,46 @@ class TernaryHomCoalgebra:
 
     # -- coassociativity -------------------------------------------------
 
-    def _patterns(self, l: int):
-        """The three rank-5 expansion patterns applied to Delta(e_l)."""
-        a1 = self._alpha1_cols
-        a2 = self._alpha2_cols
-        u1: Tensor5 = {}
-        u2: Tensor5 = {}
-        u3: Tensor5 = {}
-        for (r, s, t), c in self.delta_basis(l).items():
-            for (i, j, k), ci in self.delta_basis(r).items():
-                for q, yq in a1[s].items():
-                    for p, yp in a2[t].items():
-                        vec_add_at(u1, (i, j, k, q, p), c * ci * yq * yp)
-            for (i, j, k), ci in self.delta_basis(s).items():
-                for q, yq in a1[r].items():
-                    for p, yp in a2[t].items():
-                        vec_add_at(u2, (q, i, j, k, p), c * ci * yq * yp)
-            for (i, j, k), ci in self.delta_basis(t).items():
-                for q, yq in a1[r].items():
-                    for p, yp in a2[s].items():
-                        vec_add_at(u3, (q, p, i, j, k), c * ci * yq * yp)
-        return u1, u2, u3
-
     def check_coassociativity(self, mode: str = "total",
                               max_violations: int = DEFAULT_MAX_VIOLATIONS
                               ) -> Report:
         laws = mode_laws("coassoc", ("ct1a", "ct1b", "cq1", "cw1"), mode)
-        patterns = lru_cache(maxsize=1)(self._patterns)
+        d, (den, delta), (den1, a1), (den2, a2) = lift(
+            self.delta, self._alpha1_cols, self._alpha2_cols)
+        # each pattern has degree Delta^2 alpha1 alpha2: one scale for all
+        scale = den * den * den1 * den2
+        empty = {}
+
+        @lru_cache(maxsize=1)
+        def patterns(l):
+            """The three rank-5 expansion patterns applied to Delta(e_l)."""
+            u = ({}, {}, {})
+            for (r, s, t), (ca, cb) in delta.get(l, empty).items():
+                # Delta in slot m, alpha1 and alpha2 in the other two
+                for m, inner, x, y in ((0, r, a1[s], a2[t]),
+                                       (1, s, a1[r], a2[t]),
+                                       (2, t, a1[r], a2[s])):
+                    um = u[m]
+                    for ijk, (ia, ib) in delta.get(inner, empty).items():
+                        xa, xb = ca * ia + d * cb * ib, ca * ib + cb * ia
+                        for q, (qa, qb) in x.items():
+                            ya, yb = xa * qa + d * xb * qb, xa * qb + xb * qa
+                            for p, (pa, pb) in y.items():
+                                key = ((*ijk, q, p) if m == 0 else
+                                       (q, *ijk, p) if m == 1 else
+                                       (q, p, *ijk))
+                                oa, ob = um.get(key, PAIR_ZERO)
+                                um[key] = (oa + ya * pa + d * yb * pb,
+                                           ob + ya * pb + yb * pa)
+            return tuple(map(pair_nonzero, u))
+
         # (l, i, j, k, q, p) wherever one of the three patterns is nonzero
         indices = ((l,) + key for l in range(self.dim)
                    for key in sorted(set().union(*patterns(l))))
-        check_laws(laws, mode_residuals(mode, SCALAR), indices,
-                   lambda idx: tuple(u.get(idx[1:], ZERO)
+        check_laws(laws, mode_residuals(mode, PAIR), indices,
+                   lambda idx: tuple(u.get(idx[1:], PAIR_ZERO)
                                      for u in patterns(idx[0])),
-                   str, max_violations)
+                   lambda res: str(unlift(*res, scale, d)), max_violations)
         return Report(laws)
 
     # -- comultiplicativity ----------------------------------------------
@@ -201,7 +208,12 @@ def is_coalgebra_isomorphism(f: Matrix, c1: TernaryHomCoalgebra,
 
 def tensor3_map(f1: Matrix, f2: Matrix, f3: Matrix, t: Tensor3) -> Tensor3:
     """Apply (f1 x f2 x f3) slotwise to a rank-3 tensor."""
-    cols1, cols2, cols3 = mat_columns(f1), mat_columns(f2), mat_columns(f3)
+    return tensor3_apply(mat_columns(f1), mat_columns(f2), mat_columns(f3), t)
+
+
+def tensor3_apply(cols1: list, cols2: list, cols3: list,
+                  t: Tensor3) -> Tensor3:
+    """``tensor3_map`` for maps given as their lists of sparse columns."""
     out: Tensor3 = {}
     for (r, s, tt), c in t.items():
         for i, v1 in cols1[r].items():
@@ -215,10 +227,12 @@ def tensor3_map(f1: Matrix, f2: Matrix, f3: Matrix, t: Tensor3) -> Tensor3:
 def _comorphism_defects(src: TernaryHomCoalgebra, f: Matrix,
                         dst: TernaryHomCoalgebra, lr: LawReport, cap: int) -> None:
     """(f x f x f) Delta_src(e_l) - Delta_dst(f e_l), entry by entry."""
+    cols = mat_columns(f)
+
     @lru_cache(maxsize=1)
     def residual(l):
-        return vec_sub(tensor3_map(f, f, f, src.delta_basis(l)),
-                       dst.delta_vec(mat_column(f, l)))
+        return vec_sub(tensor3_apply(cols, cols, cols, src.delta_basis(l)),
+                       dst.delta_vec(cols[l]))
 
     indices = ((l,) + key for l in range(src.dim) for key in sorted(residual(l)))
     check_laws([lr], [itself], indices, lambda idx: residual(idx[0])[idx[1:]],

@@ -5,7 +5,9 @@ of the j-th basis vector, so ``entry(k, j)`` is the coefficient of ``e_k``
 in the image of ``e_j``.  Indices are 0-based throughout this module.
 
 Vectors are sparse dicts ``{index: scalar}`` that never store zeros; the
-``vec_*`` helpers also serve tensors keyed by index tuples.
+``vec_*`` helpers also serve tensors keyed by index tuples.  The ``pair_*``
+helpers do the same for vectors of the int pairs that ``scalars.lift``
+makes, ``(a, b)`` for ``a + b*sqrt(d)``.
 """
 
 from __future__ import annotations
@@ -91,6 +93,63 @@ def trilinear(tensor: dict, x: SparseVec, y: SparseVec,
                 if vec:
                     vec_add_into(out, vec, c * zt)
     return out
+
+
+PAIR_ZERO = (0, 0)
+
+
+def pair_trilinear(tensor: dict, x: dict, y: dict, z: dict, d: int) -> dict:
+    """``trilinear`` on sparse vectors of int pairs over Q(sqrt(d))."""
+    out = {}
+    if not z:
+        return out
+    for r, (xa, xb) in x.items():
+        for s, (ya, yb) in y.items():
+            ca, cb = xa * ya + d * xb * yb, xa * yb + xb * ya
+            for t, (za, zb) in z.items():
+                vec = tensor.get((r, s, t))
+                if vec:
+                    ea, eb = ca * za + d * cb * zb, ca * zb + cb * za
+                    for l, (va, vb) in vec.items():
+                        oa, ob = out.get(l, PAIR_ZERO)
+                        out[l] = (oa + ea * va + d * eb * vb,
+                                  ob + ea * vb + eb * va)
+    return pair_nonzero(out)
+
+
+def pair_nonzero(vec: dict) -> dict:
+    """``vec`` without its zero pairs; ``vec`` itself when it has none."""
+    if PAIR_ZERO in vec.values():
+        return {key: v for key, v in vec.items() if v != PAIR_ZERO}
+    return vec
+
+
+def pair_vec_sub(u: dict, v: dict) -> dict:
+    """u - v for sparse vectors of int pairs, without zero entries."""
+    if u == v:
+        return {}
+    out = dict(u)
+    for key, (a, b) in v.items():
+        old = out.get(key)
+        if old is None:
+            out[key] = (-a, -b)
+        else:
+            a, b = old[0] - a, old[1] - b
+            if a or b:
+                out[key] = (a, b)
+            else:
+                del out[key]
+    return out
+
+
+def pair_vec_sum(vecs) -> dict:
+    """The sum of sparse vectors of int pairs, without zero entries."""
+    out = {}
+    for vec in vecs:
+        for key, (a, b) in vec.items():
+            oa, ob = out.get(key, PAIR_ZERO)
+            out[key] = (oa + a, ob + b)
+    return pair_nonzero(out)
 
 
 def drop_zeros(tensor: dict) -> dict:

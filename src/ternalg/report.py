@@ -16,16 +16,26 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
 
-from .linalg import vec_sub, vec_sum
+from .linalg import pair_vec_sub, pair_vec_sum, vec_sub, vec_sum
 
 DEFAULT_MAX_VIOLATIONS = 10
 
 MODES = ("total", "partial", "weak")
 
 # how to subtract two members and sum all three, for scalar members and
-# for sparse-vector members
+# for sparse-vector members, and for both kinds lifted to int pairs
 SCALAR = (operator.sub, lambda t: t[0] + t[1] + t[2])
 VECTOR = (vec_sub, vec_sum)
+
+
+def _nonzero(a: int, b: int):
+    return (a, b) if a or b else None
+
+
+PAIR = (lambda x, y: _nonzero(x[0] - y[0], x[1] - y[1]),
+        lambda t: _nonzero(t[0][0] + t[1][0] + t[2][0],
+                           t[0][1] + t[1][1] + t[2][1]))
+PAIR_VECTOR = (pair_vec_sub, pair_vec_sum)
 
 
 @dataclass(frozen=True)
@@ -102,7 +112,8 @@ def mode_residuals(mode: str, arith, chained: bool = False) -> list:
     Total mode asserts t1 = t2 = t3: the two laws t1 - t2 and t2 - t3, or
     one law when ``chained``, whose residual is t2 - t3 only where t1 - t2
     vanishes.  Partial mode asserts t1 + t2 + t3 = 0, weak mode t1 = t3.
-    ``arith`` is ``SCALAR`` or ``VECTOR``, the kind of the members.
+    ``arith`` is ``SCALAR``, ``VECTOR``, ``PAIR`` or ``PAIR_VECTOR``, the
+    kind of the members; a residual is falsy exactly where it vanishes.
     """
     sub, total = arith
     if mode == "total":

@@ -7,13 +7,18 @@ The form is canonical: ``q > 0``, ``gcd(a, b, q) == 1``, and ``b == 0``
 exactly when ``d == 1``, the pure-rational case.  So two scalars are equal
 exactly when their quadruples are, and arithmetic never builds a rational
 object: each result is reduced by one gcd.
+
+Checkers that evaluate many products at once skip even that gcd: ``lift``
+clears the denominators of a table of scalars once, the products run on
+bare int pairs ``(a, b)`` standing for ``a + b*sqrt(d)``, and ``unlift``
+reduces a pair back to a scalar only when it is reported.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 BACKEND = "int"
 
@@ -190,6 +195,48 @@ def _make(a: int, b: int, q: int, d: int) -> QuadScalar:
 
 ZERO = _make(0, 0, 1, 1)
 ONE = _make(1, 0, 1, 1)
+
+
+# -- fraction-free int pairs ---------------------------------------------
+
+
+def lift(*tables) -> list:
+    """Tables of scalars as int pairs, each over its own denominator.
+
+    A table is a dict or a list of sparse vectors of scalars.  Its
+    denominator D is the lcm of its entries' ``q``, and an entry
+    ``(a + b*sqrt(d)) / q`` becomes the pair ``(a*D/q, b*D/q)``.  Returns
+    d, the one radicand other than 1 among all the entries, then for each
+    table D and the lifted table, a dict with the table's keys.  Raises
+    RadicandMismatch when the entries hold two radicands other than 1.
+    """
+    d = 1
+    out = []
+    for table in tables:
+        keyed = table.items() if isinstance(table, dict) else enumerate(table)
+        den = 1
+        lifted = {}
+        for key, vec in keyed:
+            pairs = lifted[key] = {}
+            for i, x in vec.items():
+                if x._d != d:
+                    d = _join(d, x._d)
+                if den % x._q:
+                    den = lcm(den, x._q)
+                pairs[i] = (x._a, x._b)
+        if den != 1:
+            for key, pairs in lifted.items():
+                vec = table[key]
+                for i, (a, b) in pairs.items():
+                    m = den // vec[i]._q
+                    pairs[i] = (a * m, b * m)
+        out.append((den, lifted))
+    return [d, *out]
+
+
+def unlift(a: int, b: int, den: int, d: int) -> QuadScalar:
+    """The scalar ``(a + b*sqrt(d)) / den`` of a lifted pair, reduced."""
+    return _make(a, b, den, d)
 
 
 # -- literal grammar ----------------------------------------------------

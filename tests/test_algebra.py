@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -18,7 +19,15 @@ from ternalg.linalg import (
     mat_inverse,
     mat_mul,
 )
-from ternalg.report import SCALAR, check_laws, mode_laws, mode_residuals
+from ternalg.report import (
+    SCALAR,
+    VECTOR,
+    Report,
+    check_laws,
+    mode_laws,
+    mode_residuals,
+    vec_str,
+)
 from ternalg.scalars import QuadScalar, RadicandMismatch
 
 
@@ -335,3 +344,142 @@ def test_change_of_basis_is_an_isomorphism(n, radicand, family):
             _verdicts(a.check_multiplicativity(1))
         assert check_algebra_morphism(t, a, b).passed
         assert is_algebra_isomorphism(t, a, b)
+
+
+# -- fraction-free associativity against QuadScalar evaluation ------------
+
+UNLIMITED = 1 << 62
+
+
+def _fraction(rng, radicand):
+    """A scalar with denominators in 1..5, irrational about half the time."""
+    x = QuadScalar(Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+    if radicand != 1 and rng.random() < 0.5:
+        x = x + QuadScalar(0, Fraction(rng.choice([-2, -1, 1, 3]),
+                                       rng.randint(1, 5)), radicand)
+    return x
+
+
+def _random_structure(rng, n, radicand):
+    """A random product and random twists, some with a zero column."""
+    mu = {key: {l: _fraction(rng, radicand) for l in range(n)
+                if rng.random() < 0.5}
+          for key in product(range(n), repeat=3) if rng.random() < 0.4}
+    twists = []
+    for _ in range(2):
+        rows = [[_fraction(rng, radicand) if rng.random() < 0.6 else q(0)
+                 for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            zero = rng.randrange(n)
+            for row in rows:
+                row[zero] = q(0)
+        twists.append(rows)
+    return TernaryHomAlgebra(n, mu, *twists, radicand)
+
+
+def differential_structures(rng, n, radicand):
+    """Random structures, which mostly fail, beside passing twisted ones;
+    dense transports only up to dim 3, where the reference is quick."""
+    out = [_random_structure(rng, n, radicand) for _ in range(3)]
+    twisted = _algebra(rng, n, radicand, "twisted")
+    out.append(twisted)
+    if n <= 3:
+        out.append(_transport(_change_of_basis(rng, n, radicand), twisted))
+    return out
+
+
+def reference_associativity(a, mode, cap):
+    """check_associativity with every member evaluated through mu_vec,
+    mat_apply and QuadScalar arithmetic."""
+    basis = [{i: q(1)} for i in range(a.dim)]
+
+    def a1(i):
+        return mat_apply(a.alpha1, basis[i])
+
+    def a2(i):
+        return mat_apply(a.alpha2, basis[i])
+
+    def members(idx):
+        i1, i2, i3, i4, i5 = idx
+        return (a.mu_vec(a.mu_basis(i1, i2, i3), a1(i4), a2(i5)),
+                a.mu_vec(a1(i1), a.mu_basis(i2, i3, i4), a2(i5)),
+                a.mu_vec(a1(i1), a2(i2), a.mu_basis(i3, i4, i5)))
+
+    laws = mode_laws("assoc", ("qt1a", "qt1b", "qp1", "qw1"), mode)
+    check_laws(laws, mode_residuals(mode, VECTOR),
+               product(range(a.dim), repeat=5), members, vec_str, cap)
+    return Report(laws)
+
+
+@pytest.mark.parametrize("radicand", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_associativity_matches_quadscalar_reference(n, radicand):
+    rng = random.Random(f"assoc-{n}-{radicand}")
+    for a in differential_structures(rng, n, radicand):
+        for mode in ("total", "partial", "weak"):
+            for cap in (1, 3, UNLIMITED):
+                assert a.check_associativity(mode, cap).as_dict() == \
+                    reference_associativity(a, mode, cap).as_dict()
+
+
+def test_associativity_takes_the_radicand_from_the_constants():
+    # classical() leaves the declared radicand at 1 beside sqrt(2) entries
+    r2 = QuadScalar("1/2", "-3/4", 2)
+    a = classical(2, {(0, 0, 0): {0: r2, 1: q(1)}, (1, 0, 1): {0: r2 * r2},
+                      (0, 1, 1): {1: QuadScalar(0, "2/3", 2)}})
+    assert a.radicand == 1
+    for mode in ("total", "partial", "weak"):
+        for cap in (1, 3, UNLIMITED):
+            assert a.check_associativity(mode, cap).as_dict() == \
+                reference_associativity(a, mode, cap).as_dict()
+
+
+def test_mixed_radicands_are_refused():
+    a = TernaryHomAlgebra(1, {(0, 0, 0): {0: QuadScalar(0, 1, 2)}},
+                          [[QuadScalar(0, 1, 3)]], mat_identity(1))
+    for mode in ("total", "partial", "weak"):
+        with pytest.raises(RadicandMismatch):
+            a.check_associativity(mode)
+
+
+# -- the Yau twist of a totally associative algebra ------------------------
+
+
+def _group_algebra(rng, n, radicand, klein):
+    """mu(e_g, e_h, e_k) = c e_{ghk} over Z/n or the Klein group, and an
+    endomorphism e_g -> chi(g) e_{phi(g)} for random homomorphisms
+    phi: G -> G and chi: G -> {1, -1}."""
+    if klein:
+        op = int.__xor__
+        bits = [rng.randrange(4) for _ in range(2)]  # phi on the generators
+        phi = [(bits[0] if g & 1 else 0) ^ (bits[1] if g & 2 else 0)
+               for g in range(n)]
+        mask = rng.randrange(4)
+        chi = [(-1) ** bin(g & mask).count("1") for g in range(n)]
+    else:
+        op = lambda g, h: (g + h) % n
+        m = rng.randrange(n)
+        phi = [m * g % n for g in range(n)]
+        sign = rng.choice([1, -1]) if n % 2 == 0 else 1
+        chi = [sign ** g for g in range(n)]
+    c = _scalar(rng, radicand) + q(3)
+    mu = {(g, h, k): {op(op(g, h), k): c}
+          for g, h, k in product(range(n), repeat=3)}
+    rho = [[q(chi[g]) if phi[g] == l else q(0) for g in range(n)]
+           for l in range(n)]
+    return classical(n, mu, radicand), rho
+
+
+@pytest.mark.parametrize("radicand", [1, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_yau_twist_keeps_total_associativity(n, radicand):
+    rng = random.Random(f"yau-{n}-{radicand}")
+    for klein in (False, n == 4):
+        a, rho = _group_algebra(rng, n, radicand, klein)
+        # the same pair in a basis with sqrt(radicand) in it
+        t = _change_of_basis(rng, n, radicand)
+        b = _transport(t, a)
+        sigma = mat_mul(mat_mul(t, rho), mat_inverse(t))
+        for alg, endo in ((a, rho), (b, sigma)):
+            assert alg.check_associativity("total", 1).passed
+            assert alg.yau_twist(endo).check_associativity("total", 1).passed

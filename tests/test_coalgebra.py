@@ -9,10 +9,26 @@ from ternalg.coalgebra import (
     is_coalgebra_isomorphism,
     tensor3_map,
 )
-from ternalg.linalg import mat_identity
-from ternalg.scalars import QuadScalar
+from ternalg.duality import dualize_algebra
+from ternalg.linalg import (
+    mat_column,
+    mat_columns,
+    mat_identity,
+    mat_inverse,
+    mat_mul,
+    vec_add_at,
+)
+from ternalg.report import SCALAR, Report, check_laws, mode_laws, mode_residuals
+from ternalg.scalars import ZERO, QuadScalar, RadicandMismatch
 
-from test_algebra import refuse
+from test_algebra import (
+    UNLIMITED,
+    _algebra,
+    _change_of_basis,
+    _verdicts,
+    differential_structures,
+    refuse,
+)
 
 
 def q(x):
@@ -169,3 +185,96 @@ def test_map_of_another_size_is_refused(size):
         check_coalgebra_morphism(mat_identity(size), c, c)
     with pytest.raises(ValueError, match="^dimension mismatch$"):
         is_coalgebra_isomorphism(mat_identity(size), c, c)
+
+
+# -- fraction-free coassociativity against QuadScalar evaluation ----------
+
+
+def reference_coassociativity(c, mode, cap):
+    """check_coassociativity with every pattern built from delta_vec,
+    mat_column and QuadScalar arithmetic."""
+    patterns = []
+    for l in range(c.dim):
+        u = ({}, {}, {})
+        for (r, s, t), x in c.delta_basis(l).items():
+            # the slot Delta expands, then the slots alpha1 and alpha2 map
+            for m, (inner, f, g) in enumerate(((r, s, t), (s, r, t),
+                                               (t, r, s))):
+                for ijk, y in c.delta_vec({inner: x}).items():
+                    for k, yk in mat_column(c.alpha1, f).items():
+                        for h, yh in mat_column(c.alpha2, g).items():
+                            key = [k, h]
+                            key[m:m] = ijk
+                            vec_add_at(u[m], tuple(key), y * yk * yh)
+        patterns.append(u)
+    indices = [(l,) + key for l, u in enumerate(patterns)
+               for key in sorted(set().union(*u))]
+    laws = mode_laws("coassoc", ("ct1a", "ct1b", "cq1", "cw1"), mode)
+    check_laws(laws, mode_residuals(mode, SCALAR), indices,
+               lambda idx: tuple(u.get(idx[1:], ZERO)
+                                 for u in patterns[idx[0]]),
+               str, cap)
+    return Report(laws)
+
+
+def assert_matches_reference(c):
+    for mode in ("total", "partial", "weak"):
+        for cap in (1, 3, UNLIMITED):
+            assert c.check_coassociativity(mode, cap).as_dict() == \
+                reference_coassociativity(c, mode, cap).as_dict()
+
+
+@pytest.mark.parametrize("radicand", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coassociativity_matches_quadscalar_reference(n, radicand):
+    rng = random.Random(f"coassoc-{n}-{radicand}")
+    for a in differential_structures(rng, n, radicand):
+        assert_matches_reference(dualize_algebra(a))
+
+
+def test_coassociativity_takes_the_radicand_from_the_constants():
+    r2 = QuadScalar("1/2", "-3/4", 2)
+    c = classical_coalgebra(2, {0: {(0, 0, 0): r2, (1, 0, 1): q(1)},
+                                1: {(0, 0, 0): r2 * r2,
+                                    (0, 1, 1): QuadScalar(0, "2/3", 2)}})
+    assert c.radicand == 1
+    assert_matches_reference(c)
+
+
+def test_mixed_radicands_are_refused():
+    c = classical_coalgebra(2, {0: {(0, 0, 0): QuadScalar(0, 1, 2)},
+                                1: {(0, 0, 0): QuadScalar(0, 1, 3)}})
+    for mode in ("total", "partial", "weak"):
+        with pytest.raises(RadicandMismatch):
+            c.check_coassociativity(mode)
+
+
+# -- transport along a change of basis ------------------------------------
+
+
+def _cotransport(t, c):
+    """Delta' = (t x t x t) Delta t^-1 and alpha'_k = t alpha_k t^-1."""
+    inv = mat_inverse(t)
+    cols = mat_columns(inv)
+    delta = {l: tensor3_map(t, t, t, c.delta_vec(cols[l]))
+             for l in range(c.dim)}
+    return TernaryHomCoalgebra(c.dim, delta,
+                               mat_mul(mat_mul(t, c.alpha1), inv),
+                               mat_mul(mat_mul(t, c.alpha2), inv), c.radicand)
+
+
+@pytest.mark.parametrize("family", ["random", "classical", "twisted"])
+@pytest.mark.parametrize("radicand", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_change_of_basis_keeps_every_verdict(n, radicand, family):
+    rng = random.Random(f"co-{n}-{radicand}-{family}")
+    for _ in range(3):
+        c = dualize_algebra(_algebra(rng, n, radicand, family))
+        t = _change_of_basis(rng, n, radicand)
+        d = _cotransport(t, c)
+        for mode in ("total", "partial", "weak"):
+            assert _verdicts(d.check_coassociativity(mode, 1)) == \
+                _verdicts(c.check_coassociativity(mode, 1))
+        assert _verdicts(d.check_comultiplicativity(1)) == \
+            _verdicts(c.check_comultiplicativity(1))
+        assert is_coalgebra_isomorphism(t, c, d)

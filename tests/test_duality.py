@@ -1,12 +1,16 @@
 import random
 
+import pytest
+
 from ternalg.algebra import TernaryHomAlgebra, classical
+from ternalg.bialgebra import bialgebra, dualize_bialgebra
 from ternalg.coalgebra import TernaryHomCoalgebra
 from ternalg.duality import dualize_algebra, dualize_coalgebra, dualize_linear_map
 from ternalg.linalg import mat_transpose
 from ternalg.scalars import QuadScalar
+from ternalg.serialization import dump_text
 
-from test_algebra import DENSE, NILP, RHO1, mat, mu_from
+from test_algebra import DENSE, NILP, RHO1, _random_structure, mat, mu_from
 
 
 def q(x):
@@ -84,3 +88,18 @@ def test_mode_transport_random():
                 c.check_coassociativity(mode, max_violations=1).passed
         back = dualize_coalgebra(c)
         assert back.mu == alg.mu and back.alpha1 == alg.alpha1
+
+
+@pytest.mark.parametrize("radicand", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dualizing_twice_dumps_the_same_text(n, radicand):
+    rng = random.Random(f"dual-{n}-{radicand}")
+    for _ in range(3):
+        a = _random_structure(rng, n, radicand)
+        b = _random_structure(rng, n, radicand)
+        c = dualize_algebra(b)
+        bi = bialgebra(n, a.mu, c.delta, a.alpha1, a.alpha2, radicand)
+        assert dump_text(dualize_coalgebra(dualize_algebra(a))) == dump_text(a)
+        assert dump_text(dualize_algebra(dualize_coalgebra(c))) == dump_text(c)
+        assert dump_text(dualize_bialgebra(dualize_bialgebra(bi))) == \
+            dump_text(bi)

@@ -2,13 +2,16 @@
 
 ``perfbench/tracing.py`` looks each target up with ``getattr`` when it
 installs its wrappers, so a renamed function or method breaks every
-traced benchmark run.
+traced benchmark run.  Its scalar counter wraps the ``QuadScalar``
+operations it names, which must stay defined on the class itself.
 """
 
 import importlib.util
 import pathlib
 
 import pytest
+
+from ternalg.scalars import QuadScalar
 
 _PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / \
     "tracing.py"
@@ -22,3 +25,10 @@ _SPEC.loader.exec_module(tracing)
 def test_traced_name_resolves(module, attr, name):
     owner, key = tracing._owner_and_name(module, attr)
     assert callable(getattr(owner, key))
+
+
+@pytest.mark.parametrize("op", tracing.ARITHMETIC)
+def test_scalar_counter_finds_each_operation_on_the_class(op):
+    # ScalarCounter wraps these through QuadScalar.__dict__, which holds
+    # only what the class itself defines
+    assert callable(QuadScalar.__dict__[op])
