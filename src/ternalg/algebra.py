@@ -17,6 +17,8 @@ from itertools import product
 from operator import getitem
 
 from .linalg import (
+    PAIR_ONE,
+    PAIR_ZERO,
     Matrix,
     SparseVec,
     drop_zeros,
@@ -26,12 +28,20 @@ from .linalg import (
     mat_invertible,
     mat_is_identity,
     mat_radicand,
+    next_slot,
+    pair_add_shifted,
+    pair_dot,
+    pair_pack,
     pair_trilinear,
+    pair_unpack,
+    pair_width,
+    slot_bias,
     trilinear,
     vec_add_into,
 )
 from .report import (
     DEFAULT_MAX_VIOLATIONS,
+    PAIR,
     PAIR_VECTOR,
     LawReport,
     Report,
@@ -111,20 +121,11 @@ class TernaryHomAlgebra:
             self.mu, self._alpha1_cols, self._alpha2_cols)
         # each member has degree mu^2 alpha1 alpha2: one scale for all
         scale = den * den * den1 * den2
-        empty = {}
-
-        def members(idx):
-            i1, i2, i3, i4, i5 = idx
-            x = mu.get((i1, i2, i3), empty)
-            y = mu.get((i2, i3, i4), empty)
-            z = mu.get((i3, i4, i5), empty)
-            # a member whose inner product vanishes is empty: skip its call
-            return (x and pair_trilinear(mu, x, a1[i4], a2[i5], d),
-                    y and pair_trilinear(mu, a1[i1], y, a2[i5], d),
-                    z and pair_trilinear(mu, a1[i1], a2[i2], z, d))
-
+        values = {}
         check_laws(laws, mode_residuals(mode, PAIR_VECTOR),
-                   product(range(self.dim), repeat=5), members,
+                   _assoc_rows(self.dim, mu, a1, a2, d, laws, mode,
+                               values),
+                   values.pop,
                    lambda res: vec_str({i: unlift(a, b, scale, d)
                                         for i, (a, b) in res.items()}),
                    max_violations)
@@ -179,6 +180,114 @@ class TernaryHomAlgebra:
         for key, vec in self.mu.items():
             mu_new[key] = mat_apply(rho, vec)
         return TernaryHomAlgebra(self.dim, mu_new, rho, rho, radicand)
+
+
+def _assoc_rows(n: int, mu: dict, a1: dict, a2: dict, d: int, laws: list,
+                mode: str, values: dict):
+    """The index tuples ``check_associativity`` must see, in order, each
+    with its members put in ``values``; ``mu``, ``a1`` and ``a2`` are the
+    lifted tables and ``laws`` the reports check_laws fills.
+
+    Row (i1, i2, i3) packs each member over (i4, i5, l) with ``pair_pack``
+    and decides every law of the mode for all its n^2 tuples by comparing
+    ints.  Each member is the sum over m of a packed inner product
+    coefficient times a table entry, each filled on first use by one
+    ``pair_trilinear`` call, packed over l:
+
+    - t1: x_m = mu(e_i1, e_i2, e_i3)_m times A[m] = mu(e_m, a1 ., a2 .);
+    - t2: y_m = mu(e_i2, e_i3, .)_m times B[i1][m] = mu(a1 e_i1, e_m, a2 .);
+    - t3: z_m = mu(e_i3, ., .)_m times C[i1, i2][m] = mu(a1 e_i1, a2 e_i2, e_m);
+
+    where a dot stands for the free i4 (slot block n^2), i5 (block n) or
+    both.  The twists enter as their rows packed over those blocks, so a
+    product of packed ints is a sum of shifted copies, as in Kronecker
+    substitution.
+
+    Of a row that fails a law not yet truncated (check_laws evaluates no
+    other), only the tuples where such a law fails are yielded, their
+    members unpacked; then the next index, with zero members, so that
+    check_laws sees that an index remains.  All other tuples hold every
+    law check_laws still evaluates.
+    """
+    if not mu:
+        return  # every member of every row is empty
+    w = pair_width(d, mu, a1, a2)
+    wn, nn = w * n, n * n
+    # the twists' rows, a1 over i4 and a2 over i5; the inner products of
+    # t2 and t3, mu(e_r, e_s, .) over i4 and mu(e_r, ., .) over (i4, i5)
+    rows1, rows2, Y, Z = {}, {}, {}, {}
+    for rows, cols, block in ((rows1, a1, wn * n), (rows2, a2, wn)):
+        for i, col in cols.items():
+            for k, (a, b) in col.items():
+                pair_add_shifted(rows, k, a, b, block * i)
+    for (r, s, t), vec in mu.items():
+        y, z = Y.setdefault((r, s), {}), Z.setdefault(r, {})
+        for m, (a, b) in vec.items():
+            pair_add_shifted(y, m, a, b, wn * n * t)
+            pair_add_shifted(z, m, a, b, wn * (s * n + t))
+    row_laws = list(zip(laws, mode_residuals(mode, PAIR)))
+    middle = mode != "weak"  # weak mode compares t1 and t3 only
+    A, B, C = {}, {}, {}
+    mask, bias = (1 << wn) - 1, None  # one tuple's slots; all of a row's
+    after_failure = False
+    for row in product(range(n), repeat=3):
+        if after_failure:
+            after_failure = False
+            values[row + (0, 0)] = ({}, {}, {})
+            yield row + (0, 0)
+        i1, i2, i3 = row
+        x = mu.get(row)
+        c1, c2 = a1[i1], a2[i2]
+        y = middle and c1 and Y.get((i2, i3))
+        z = c1 and c2 and Z.get(i3)
+        if not (x or y or z):
+            continue
+        t1 = t2 = t3 = PAIR_ZERO
+        if x:
+            for m in x:
+                if m not in A:
+                    A[m] = pair_pack(pair_trilinear(mu, {m: PAIR_ONE}, rows1,
+                                                    rows2, d), w)
+            t1 = pair_dot(x, A, d)
+        if y:
+            b = B.get(i1) or B.setdefault(i1, {})
+            for m in y:
+                if m not in b:
+                    b[m] = pair_pack(pair_trilinear(mu, c1, {m: PAIR_ONE},
+                                                    rows2, d), w)
+            t2 = pair_dot(y, b, d)
+        if z:
+            c = C.get((i1, i2)) or C.setdefault((i1, i2), {})
+            for m in z:
+                if m not in c:
+                    c[m] = pair_pack(pair_trilinear(mu, c1, c2, {m: PAIR_ONE},
+                                                    d), w)
+            t3 = pair_dot(z, c, d)
+        members = t1, t2, t3
+        failing = []  # the packed residuals of the laws still open
+        for lr, law in row_laws:
+            if not lr.truncated:
+                failing += law(members) or ()
+        if not failing:
+            continue
+        # each tuple where one of them fails, and the members there
+        if bias is None:
+            bias, tuple_bias = slot_bias(w, n * nn), slot_bias(w, n)
+        ints = [v and v + bias for t in members for v in t]
+        k = next_slot(failing, -1, wn)
+        while k is not None:
+            chunks = [v and (v >> wn * k & mask) - tuple_bias for v in ints]
+            index = row + divmod(k, n)
+            values[index] = tuple(pair_unpack(chunks[j], chunks[j + 1], w, n)
+                                  for j in (0, 2, 4))
+            yield index
+            last, k = k, next_slot(failing, k, wn)
+        if last + 1 < nn:
+            index = row + divmod(last + 1, n)
+            values[index] = ({}, {}, {})
+            yield index
+        else:
+            after_failure = True
 
 
 def intertwining(lr: LawReport, g: Matrix, src, dst, maps: tuple, cap: int,

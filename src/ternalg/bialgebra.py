@@ -86,13 +86,18 @@ def check_compatibility(bi: TernaryBialgebra,
 
     def members(key):
         i, j, k = key
-        lcols = alg.operator_columns(alg.op_L, a1c[i], a2c[j])
-        mcols = alg.operator_columns(alg.op_M, a1c[i], a2c[k])
-        rcols = alg.operator_columns(alg.op_R, a1c[j], a2c[k])
-        rhs = vec_sum((tensor3_apply(lcols, a1c, a2c, co.delta_basis(k)),
-                       tensor3_apply(a1c, mcols, a2c, co.delta_basis(j)),
-                       tensor3_apply(a1c, a2c, rcols, co.delta_basis(i))))
-        return co.delta_vec(alg.mu_basis(i, j, k)), rhs
+        # an operator's columns are built only for a nonempty slot
+        terms = []
+        if co.delta_basis(k):
+            lcols = alg.operator_columns(alg.op_L, a1c[i], a2c[j])
+            terms.append(tensor3_apply(lcols, a1c, a2c, co.delta_basis(k)))
+        if co.delta_basis(j):
+            mcols = alg.operator_columns(alg.op_M, a1c[i], a2c[k])
+            terms.append(tensor3_apply(a1c, mcols, a2c, co.delta_basis(j)))
+        if co.delta_basis(i):
+            rcols = alg.operator_columns(alg.op_R, a1c[j], a2c[k])
+            terms.append(tensor3_apply(a1c, a2c, rcols, co.delta_basis(i)))
+        return co.delta_vec(alg.mu_basis(i, j, k)), vec_sum(terms)
 
     lr = LawReport("compat", "cp1")
     check_laws([lr], [difference], itertools.product(range(bi.dim), repeat=3),

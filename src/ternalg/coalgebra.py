@@ -5,8 +5,9 @@ A coalgebra of dimension ``n`` stores its coproduct as a sparse tensor
 in ``Delta(e_l)``.  Twist endomorphisms ``alpha1`` and ``alpha2`` follow
 the same column convention as everywhere else.
 
-The normative coassociativity checker works at the level of maps, building
-the three rank-5 tensors ``(Delta x a1 x a2) Delta`` and friends.  The
+The normative coassociativity checker works at the level of maps: for each
+``l`` it packs the three patterns ``(Delta x a1 x a2) Delta(e_l)`` and
+friends, rank-5 tensors, into Python ints and compares them whole.  The
 index-level identities are provided as an independent second encoding and
 are evaluated exactly as displayed; disagreement between the two encodings
 is reported, never reconciled.
@@ -26,7 +27,10 @@ from .linalg import (
     mat_columns,
     mat_identity,
     mat_invertible,
-    pair_nonzero,
+    next_slot,
+    pair_pack,
+    pair_width,
+    slot_bias,
     vec_add_at,
     vec_sub,
 )
@@ -78,38 +82,12 @@ class TernaryHomCoalgebra:
             self.delta, self._alpha1_cols, self._alpha2_cols)
         # each pattern has degree Delta^2 alpha1 alpha2: one scale for all
         scale = den * den * den1 * den2
-        empty = {}
-
-        @lru_cache(maxsize=1)
-        def patterns(l):
-            """The three rank-5 expansion patterns applied to Delta(e_l)."""
-            u = ({}, {}, {})
-            for (r, s, t), (ca, cb) in delta.get(l, empty).items():
-                # Delta in slot m, alpha1 and alpha2 in the other two
-                for m, inner, x, y in ((0, r, a1[s], a2[t]),
-                                       (1, s, a1[r], a2[t]),
-                                       (2, t, a1[r], a2[s])):
-                    um = u[m]
-                    for ijk, (ia, ib) in delta.get(inner, empty).items():
-                        xa, xb = ca * ia + d * cb * ib, ca * ib + cb * ia
-                        for q, (qa, qb) in x.items():
-                            ya, yb = xa * qa + d * xb * qb, xa * qb + xb * qa
-                            for p, (pa, pb) in y.items():
-                                key = ((*ijk, q, p) if m == 0 else
-                                       (q, *ijk, p) if m == 1 else
-                                       (q, p, *ijk))
-                                oa, ob = um.get(key, PAIR_ZERO)
-                                um[key] = (oa + ya * pa + d * yb * pb,
-                                           ob + ya * pb + yb * pa)
-            return tuple(map(pair_nonzero, u))
-
-        # (l, i, j, k, q, p) wherever one of the three patterns is nonzero
-        indices = ((l,) + key for l in range(self.dim)
-                   for key in sorted(set().union(*patterns(l))))
-        check_laws(laws, mode_residuals(mode, PAIR), indices,
-                   lambda idx: tuple(u.get(idx[1:], PAIR_ZERO)
-                                     for u in patterns(idx[0])),
-                   lambda res: str(unlift(*res, scale, d)), max_violations)
+        values = {}
+        check_laws(laws, mode_residuals(mode, PAIR),
+                   _coassoc_rows(self.dim, delta, a1, a2, d, laws, mode,
+                                 values),
+                   values.pop, lambda res: str(unlift(*res, scale, d)),
+                   max_violations)
         return Report(laws)
 
     # -- comultiplicativity ----------------------------------------------
@@ -178,6 +156,97 @@ class TernaryHomCoalgebra:
                    lambda key: tuple(t.get(key, ZERO) for t in terms),
                    str, max_violations)
         return Report(laws)
+
+
+def _coassoc_rows(n: int, delta: dict, a1: dict, a2: dict, d: int,
+                  laws: list, mode: str, values: dict):
+    """The index tuples ``check_coassociativity`` must see, in order, each
+    with its members put in ``values``; ``delta``, ``a1`` and ``a2`` are
+    the lifted tables.
+
+    Row l packs the three patterns applied to Delta(e_l) over
+    (i, j, k, q, p) with ``pair_pack``, and decides every law of the mode
+    for all of them by comparing ints.  Each pattern puts Delta in one
+    slot and the twists in the other two; it is built from Delta(e_r)
+    packed at stride n^2, n or 1, one copy moved up by (q, p) for each
+    term of Delta(e_l) and each entry q, p of the two twist columns.
+
+    The tuples of a row are those where some pattern is nonzero.  Of a
+    row that fails a law not yet truncated (check_laws evaluates no
+    other), only the tuples where such a law fails are yielded, their
+    members unpacked; then the next tuple, in this row or the next that
+    has one, with zero members, so that check_laws sees that an index
+    remains.  All other tuples hold every law check_laws still evaluates.
+    """
+    if not delta:
+        return  # every pattern of every row is empty
+    w = pair_width(d, delta, a1, a2)
+    nn, n3 = n * n, n ** 3
+    row_laws = list(zip(laws, mode_residuals(mode, PAIR)))
+    # pattern m: stride of Delta's (i, j, k), then where q and p go
+    layouts = ((nn, n, 1), (n, n3 * n, 1), (1, n3 * n, n3))
+    packed = ({}, {}, {})  # Delta(e_r) at each pattern's stride
+    mask, half, bias = (1 << w) - 1, 1 << w - 1, None  # of a slot; a row
+    after_failure = False
+    for l in range(n):
+        entries = delta.get(l)
+        if not entries:
+            continue
+        ints = [0] * 6  # a and b of each pattern
+        for (r, s, t), (ca, cb) in entries.items():
+            for m, inner, x, y in ((0, r, a1[s], a2[t]), (1, s, a1[r], a2[t]),
+                                   (2, t, a1[r], a2[s])):
+                if inner not in delta:
+                    continue
+                stride, qs, ps = layouts[m]
+                va, vb = packed[m].get(inner) or packed[m].setdefault(
+                    inner, pair_pack({((i * n + j) * n + k) * stride: ab
+                                      for (i, j, k), ab
+                                      in delta[inner].items()}, w))
+                for q, (qa, qb) in x.items():
+                    xa, xb = ca * qa + d * cb * qb, ca * qb + cb * qa
+                    for p, (pa, pb) in y.items():
+                        ya, yb = xa * pa + d * xb * pb, xa * pb + xb * pa
+                        shift = w * (q * qs + p * ps)
+                        ints[2 * m] += (ya * va + d * yb * vb) << shift
+                        ints[2 * m + 1] += (ya * vb + yb * va) << shift
+        if not any(ints):
+            continue
+        members = tuple(zip(ints[::2], ints[1::2]))
+        failing = []  # the packed residuals of the laws still open
+        for lr, law in row_laws:
+            if not lr.truncated:
+                failing += law(members) or ()
+        last = -1  # the slot of the last tuple yielded
+        if failing:
+            # each tuple where such a law fails, and the members there
+            if bias is None:
+                bias = slot_bias(w, n3 * nn)
+            biased = [v + bias for v in ints]
+            slot = next_slot(failing, -1, w)
+            while slot is not None:
+                digits = [(v >> w * slot & mask) - half for v in biased]
+                key = _key(l, slot, n)
+                values[key] = tuple(zip(digits[::2], digits[1::2]))
+                yield key
+                last, slot = slot, next_slot(failing, slot, w)
+            after_failure = True
+        elif not after_failure:
+            continue
+        # the next tuple where a pattern is nonzero, in this row or after
+        rest = next_slot(ints, last, w)
+        if rest is not None:
+            after_failure = False
+            key = _key(l, rest, n)
+            values[key] = (PAIR_ZERO,) * 3
+            yield key
+
+
+def _key(l: int, slot: int, n: int) -> tuple:
+    """The index tuple (l, i, j, k, q, p) of a slot of a packed pattern."""
+    ijk, qp = divmod(slot, n * n)
+    ij, k = divmod(ijk, n)
+    return (l, *divmod(ij, n), k, *divmod(qp, n))
 
 
 def comorphism_laws(f: Matrix, c1: TernaryHomCoalgebra,

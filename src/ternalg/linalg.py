@@ -96,6 +96,7 @@ def trilinear(tensor: dict, x: SparseVec, y: SparseVec,
 
 
 PAIR_ZERO = (0, 0)
+PAIR_ONE = (1, 0)
 
 
 def pair_trilinear(tensor: dict, x: dict, y: dict, z: dict, d: int) -> dict:
@@ -150,6 +151,120 @@ def pair_vec_sum(vecs) -> dict:
             oa, ob = out.get(key, PAIR_ZERO)
             out[key] = (oa + a, ob + b)
     return pair_nonzero(out)
+
+
+def pair_width(d: int, tensor: dict, *maps: dict) -> int:
+    """Bits per slot that hold any sum of three members, each entry a
+    sum of products of one entry of ``tensor``, one of its vectors and one
+    column of each map, all of int pairs over Q(sqrt(d)).
+
+    With |a + b*sqrt(d)| read as |a| + d*|b|, which bounds |a| and |b| and
+    is submultiplicative, B is the largest norm of a vector of ``tensor``
+    times its largest entry times the largest norm of a column of each
+    map, and the width is the bit length of 3*B plus 2.
+    """
+    top = big = 0
+    for vec in tensor.values():
+        s = 0
+        for a, b in vec.values():
+            x = abs(a) + d * abs(b)
+            s += x
+            if x > big:
+                big = x
+        if s > top:
+            top = s
+    bound = top * big
+    for cols in maps:
+        top = 0
+        for col in cols.values():
+            s = 0
+            for a, b in col.values():
+                s += abs(a) + d * abs(b)
+            if s > top:
+                top = s
+        bound *= top
+    return (3 * bound).bit_length() + 2
+
+
+def pair_pack(vec: dict, w: int) -> tuple[int, int]:
+    """A sparse vector of int pairs ``{k: (a, b)}`` as two ints, the sums
+    of a*2^(w*k) and of b*2^(w*k): signed ``w``-bit slots, which
+    ``pair_unpack`` reads back while every |a| and |b| is below
+    2^(w-1)."""
+    pa = pb = 0
+    for k, (a, b) in vec.items():
+        pa += a << w * k
+        pb += b << w * k
+    return pa, pb
+
+
+def slot_bias(w: int, count: int) -> int:
+    """2^(w-1) in each of ``count`` slots of ``w`` bits.
+
+    Added to an int packed with signed slots, it carries every negative
+    slot into the next at once: each slot of the sum holds its balanced
+    base-2^w digit plus 2^(w-1), in plain bits.
+    """
+    return ((1 << w * count) - 1) // ((1 << w) - 1) << w - 1
+
+
+def next_slot(ints, after: int, w: int):
+    """The lowest slot above ``after`` where one of ``ints``, packed with
+    signed ``w``-bit slots, is nonzero; None where there is none.
+
+    Adding ``slot_bias`` over slots 0 to ``after`` carries them out, so
+    the shift leaves exactly the slots above; the lowest set bit of what
+    is left lies in its lowest nonzero slot.
+    """
+    bits = w * (after + 1)
+    carry = slot_bias(w, after + 1) if after >= 0 else 0
+    low = None
+    for p in ints:
+        p = (p + carry) >> bits
+        if p:
+            b = (p & -p).bit_length()
+            if low is None or b < low:
+                low = b
+    return None if low is None else after + 1 + (low - 1) // w
+
+
+def pair_unpack(pa: int, pb: int, w: int, count: int) -> dict:
+    """The inverse of ``pair_pack`` over slots 0 to count - 1:
+    ``{slot: (a, b)}`` without zero pairs, in slot order.  Each slot is
+    the balanced residue of what remains, carried out before the next."""
+    mask = (1 << w) - 1
+    half = mask >> 1
+    out = {}
+    for k in range(count):
+        if not (pa or pb):
+            break
+        a, b = pa & mask, pb & mask
+        if a > half:
+            a -= mask + 1
+        if b > half:
+            b -= mask + 1
+        if a or b:
+            out[k] = a, b
+        pa, pb = (pa - a) >> w, (pb - b) >> w
+    return out
+
+
+def pair_dot(coeffs: dict, table: dict, d: int) -> tuple[int, int]:
+    """The sum of coeffs[k] * table[k] over the keys of ``coeffs``, for
+    int pairs (a, b) standing for a + b*sqrt(d); packed ints multiply
+    slot by slot, or as polynomials, alike."""
+    ta = tb = 0
+    for k, (xa, xb) in coeffs.items():
+        pa, pb = table[k]
+        ta += xa * pa + d * xb * pb
+        tb += xa * pb + xb * pa
+    return ta, tb
+
+
+def pair_add_shifted(vec: dict, key, a: int, b: int, shift: int) -> None:
+    """vec[key] += (a, b) moved up ``shift`` bits, as a packed slot."""
+    va, vb = vec.get(key, PAIR_ZERO)
+    vec[key] = (va + (a << shift), vb + (b << shift))
 
 
 def drop_zeros(tensor: dict) -> dict:

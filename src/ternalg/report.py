@@ -106,7 +106,8 @@ def check_mode(mode: str, modes=MODES) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def mode_residuals(mode: str, arith, chained: bool = False) -> list:
+@lru_cache(maxsize=None)
+def mode_residuals(mode: str, arith, chained: bool = False) -> tuple:
     """Residual functions, one per law, of an identity with members t1, t2, t3.
 
     Total mode asserts t1 = t2 = t3: the two laws t1 - t2 and t2 - t3, or
@@ -120,11 +121,11 @@ def mode_residuals(mode: str, arith, chained: bool = False) -> list:
         first = lambda t: sub(t[0], t[1])
         second = lambda t: sub(t[1], t[2])
         if chained:
-            return [lambda t: first(t) or second(t)]
-        return [first, second]
+            return (lambda t: first(t) or second(t),)
+        return first, second
     if mode == "partial":
-        return [total]
-    return [lambda t: sub(t[0], t[2])]
+        return (total,)
+    return (lambda t: sub(t[0], t[2]),)
 
 
 def mode_laws(name: str, tags: tuple, mode: str) -> list[LawReport]:

@@ -11,7 +11,10 @@ object: each result is reduced by one gcd.
 Checkers that evaluate many products at once skip even that gcd: ``lift``
 clears the denominators of a table of scalars once, the products run on
 bare int pairs ``(a, b)`` standing for ``a + b*sqrt(d)``, and ``unlift``
-reduces a pair back to a scalar only when it is reported.
+reduces a pair back to a scalar only when it is reported.  The
+associativity and coassociativity checkers go one step further and pack a
+whole vector of such pairs into two ints (``linalg.pair_pack``), so one
+int operation handles a row of entries.
 """
 
 from __future__ import annotations

@@ -377,14 +377,51 @@ def _random_structure(rng, n, radicand):
     return TernaryHomAlgebra(n, mu, *twists, radicand)
 
 
+def _big(rng, radicand, sign=1):
+    """About sign * 10^11 as a numerator up to about 10^12 over one of the
+    denominators 1, 2, 3, 5, 7 and 11, plus as much again times
+    sqrt(radicand) about half the time; of either sign if ``sign`` is 0."""
+    sign = sign or rng.choice([-1, 1])
+
+    def part():
+        den = rng.choice([1, 2, 3, 5, 7, 11])
+        return Fraction(sign * (10 ** 11 * den + rng.randrange(1000)), den)
+
+    x = QuadScalar(part())
+    if radicand != 1 and rng.random() < 0.5:
+        x = x + QuadScalar(0, part(), radicand)
+    return x
+
+
+def _big_structure(rng, n, radicand):
+    """Large positive constants of one size, and twists with every column
+    dense: no term cancels, so the members come near the bound that sizes
+    a packed slot."""
+    mu = {key: {l: _big(rng, radicand) for l in range(n)
+                if rng.random() < 0.7}
+          for key in product(range(n), repeat=3) if rng.random() < 0.6}
+    twists = [[[_big(rng, radicand) for _ in range(n)] for _ in range(n)]
+              for _ in range(2)]
+    return TernaryHomAlgebra(n, mu, *twists, radicand)
+
+
 def differential_structures(rng, n, radicand):
     """Random structures, which mostly fail, beside passing twisted ones;
-    dense transports only up to dim 3, where the reference is quick."""
+    dense transports, and large constants over dense twist columns (one
+    passing: a transport with its product scaled), only up to dim 3,
+    where the reference is quick."""
     out = [_random_structure(rng, n, radicand) for _ in range(3)]
     twisted = _algebra(rng, n, radicand, "twisted")
     out.append(twisted)
     if n <= 3:
-        out.append(_transport(_change_of_basis(rng, n, radicand), twisted))
+        dense = _transport(_change_of_basis(rng, n, radicand), twisted)
+        out.append(dense)
+        scale = _big(rng, radicand, 0)
+        out.append(TernaryHomAlgebra(
+            n, {key: {l: scale * c for l, c in vec.items()}
+                for key, vec in dense.mu.items()},
+            dense.alpha1, dense.alpha2, radicand))
+        out.append(_big_structure(rng, n, radicand))
     return out
 
 
@@ -440,6 +477,59 @@ def test_mixed_radicands_are_refused():
     for mode in ("total", "partial", "weak"):
         with pytest.raises(RadicandMismatch):
             a.check_associativity(mode)
+
+
+# -- truncation across packed rows -----------------------------------------
+
+MODES = ("total", "partial", "weak")
+
+
+def _int_algebra(mu, alpha1, alpha2):
+    """A dim-2 algebra from a 0-based product and twist rows of ints."""
+    return TernaryHomAlgebra(
+        2, {key: {l: q(c) for l, c in vec.items()} for key, vec in mu.items()},
+        mat(alpha1), mat(alpha2))
+
+
+# every violation in row (1, 1, 1), as many of each law: 2 and 2 in total
+# mode, 3 partial, 2 weak
+FIRST_ROW = ({(0, 0, 1): {0: 1}, (0, 0, 0): {0: -1}, (1, 0, 0): {1: 1}},
+             [[0, 0], [1, 0]], [[2, 0], [1, 0]])
+# every violation at the last index tuple, (2, 2, 2, 2, 2)
+LAST_TUPLE = {
+    "total": ({(1, 1, 1): {1: -1}, (0, 1, 1): {0: 1}},
+              [[0, 2], [0, 0]], [[-1, 0], [0, 1]]),
+    "partial": ({(1, 1, 1): {1: 2}}, [[-1, 1], [0, 1]], [[1, 1], [0, 1]]),
+    "weak": ({(1, 1, 1): {1: -1}, (0, 1, 1): {0: 1}},
+             [[0, 2], [0, 0]], [[-1, 0], [0, 1]]),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_truncated_when_the_cap_is_reached_in_the_first_row(mode):
+    a = _int_algebra(*FIRST_ROW)
+    full = a.check_associativity(mode, UNLIMITED)
+    assert all(v.index[:3] == (1, 1, 1)
+               for lr in full.laws for v in lr.violations)
+    (cap,) = {len(lr.violations) for lr in full.laws}
+    # the rows after the first still remain, though every one holds
+    capped = a.check_associativity(mode, cap)
+    assert all(lr.truncated for lr in capped.laws)
+    assert [lr.violations for lr in capped.laws] == \
+        [lr.violations for lr in full.laws]
+    assert not any(lr.truncated
+                   for lr in a.check_associativity(mode, cap + 1).laws)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_not_truncated_when_only_the_last_tuple_fails(mode):
+    a = _int_algebra(*LAST_TUPLE[mode])
+    for cap in (1, 2, UNLIMITED):
+        report = a.check_associativity(mode, cap)
+        assert not report.passed
+        assert all(v.index == (2,) * 5
+                   for lr in report.laws for v in lr.violations)
+        assert not any(lr.truncated for lr in report.laws)
 
 
 # -- the Yau twist of a totally associative algebra ------------------------

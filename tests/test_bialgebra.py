@@ -85,6 +85,22 @@ def test_truncated_only_when_violations_may_remain():
     assert capped.violations == full.violations[:7] and capped.truncated
 
 
+def test_operator_columns_only_for_a_nonempty_slot(monkeypatch):
+    # only Delta(e_1) of pb2 is nonzero; each operator's columns feed one
+    # coproduct slot, k for op_L, j for op_M and i for op_R
+    b = pb2()
+    calls = []
+    columns = b.alg.operator_columns
+
+    def spy(op, x, y):
+        calls.append(op.__name__)
+        return columns(op, x, y)
+
+    monkeypatch.setattr(b.alg, "operator_columns", spy)
+    assert check_compatibility(b).passed
+    assert sorted(calls) == ["op_L"] * 4 + ["op_M"] * 4 + ["op_R"] * 4
+
+
 def test_sigma_form_agrees_on_fixtures():
     for b in (pb2(), tb2(), eq2()):
         assert check_compatibility(b, max_violations=1).passed == \

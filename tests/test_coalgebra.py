@@ -22,8 +22,10 @@ from ternalg.report import SCALAR, Report, check_laws, mode_laws, mode_residuals
 from ternalg.scalars import ZERO, QuadScalar, RadicandMismatch
 
 from test_algebra import (
+    MODES,
     UNLIMITED,
     _algebra,
+    _int_algebra,
     _change_of_basis,
     _verdicts,
     differential_structures,
@@ -247,6 +249,52 @@ def test_mixed_radicands_are_refused():
     for mode in ("total", "partial", "weak"):
         with pytest.raises(RadicandMismatch):
             c.check_coassociativity(mode)
+
+
+# -- truncation across packed rows -----------------------------------------
+
+# duals of dim-2 algebras given as in test_algebra: every violation in row
+# l = 1, as many of each law, and a nonzero pattern in row l = 2
+FIRST_ROW = {
+    "total": ({(1, 1, 1): {1: 2}, (1, 0, 1): {0: 2}},
+              [[1, 0], [0, 1]], [[2, 0], [0, 1]]),
+    "partial": ({(0, 1, 0): {0: 1}}, [[1, 0], [0, 1]], [[1, 0], [2, -1]]),
+    "weak": ({(0, 0, 1): {1: 2}, (1, 0, 1): {0: -1}, (1, 0, 0): {0: 2}},
+             [[0, 0], [1, 0]], [[-1, 0], [0, -1]]),
+}
+# every violation at the last index tuple, (2, 2, 2, 2, 2, 2)
+LAST_TUPLE = {
+    "total": ({(1, 1, 1): {0: -1}, (0, 1, 0): {1: 1}},
+              [[0, 0], [0, 1]], [[0, 1], [0, 0]]),
+    "partial": ({(1, 1, 1): {1: 2}}, [[-1, 1], [0, 1]], [[1, 1], [0, 1]]),
+    "weak": ({(1, 1, 1): {0: -1}, (0, 1, 0): {1: 1}},
+             [[-1, 0], [0, -1]], [[0, 2], [0, 0]]),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_truncated_when_the_cap_is_reached_in_the_first_row(mode):
+    c = dualize_algebra(_int_algebra(*FIRST_ROW[mode]))
+    full = c.check_coassociativity(mode, UNLIMITED)
+    assert all(v.index[0] == 1 for lr in full.laws for v in lr.violations)
+    (cap,) = {len(lr.violations) for lr in full.laws}
+    capped = c.check_coassociativity(mode, cap)
+    assert all(lr.truncated for lr in capped.laws)
+    assert [lr.violations for lr in capped.laws] == \
+        [lr.violations for lr in full.laws]
+    assert not any(lr.truncated
+                   for lr in c.check_coassociativity(mode, cap + 1).laws)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_not_truncated_when_only_the_last_tuple_fails(mode):
+    c = dualize_algebra(_int_algebra(*LAST_TUPLE[mode]))
+    for cap in (1, 2, UNLIMITED):
+        report = c.check_coassociativity(mode, cap)
+        assert not report.passed
+        assert all(v.index == (2,) * 6
+                   for lr in report.laws for v in lr.violations)
+        assert not any(lr.truncated for lr in report.laws)
 
 
 # -- transport along a change of basis ------------------------------------

@@ -1,10 +1,16 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ternalg.linalg import (
     SingularMatrix,
+    next_slot,
+    pair_pack,
+    pair_trilinear,
+    pair_unpack,
+    pair_width,
     mat_apply,
     mat_from_rows,
     mat_identity,
@@ -131,3 +137,67 @@ def test_trilinear_cancels_and_skips_absent_entries():
 def test_trilinear_matches_definition(tensor, x, y, z):
     assert trilinear(tensor, x, y, z) == \
         _trilinear_by_definition(tensor, x, y, z)
+
+
+# -- packed int pairs ---------------------------------------------------
+
+
+def _pair_vector(rng, w, count, d):
+    """Random signed pairs in some of ``count`` slots, reaching the
+    extremes 2^(w-1) - 1 and -2^(w-1) of a balanced slot; b is 0 when d
+    is 1."""
+    top = (1 << (w - 1)) - 1
+    values = [-top - 1, -top, -1, 0, 1, top, None]
+    vec = {}
+    for k in range(count):
+        a, b = (rng.choice(values), rng.choice(values) if d != 1 else 0)
+        a = rng.randint(-top - 1, top) if a is None else a
+        b = rng.randint(-top - 1, top) if b is None else b
+        if a or b:
+            vec[k] = a, b
+    return vec
+
+
+@pytest.mark.parametrize("d", [1, 5])
+@pytest.mark.parametrize("w", [2, 3, 8, 31, 64])
+def test_pair_pack_round_trip(w, d):
+    rng = random.Random(f"pack-{w}-{d}")
+    for count in (1, 2, 5, 27, 64):
+        for _ in range(20):
+            vec = _pair_vector(rng, w, count, d)
+            assert pair_unpack(*pair_pack(vec, w), w, count) == vec
+
+
+def test_pair_pack_of_the_zero_vector():
+    assert pair_pack({}, 7) == (0, 0)
+    assert pair_unpack(0, 0, 7, 10) == {}
+
+
+@pytest.mark.parametrize("w", [2, 5, 33])
+def test_next_slot_finds_the_lowest_nonzero_slot_above(w):
+    rng = random.Random(f"next-{w}")
+    for _ in range(50):
+        vecs = [_pair_vector(rng, w, 12, 5) for _ in range(2)]
+        ints = [v for vec in vecs for v in pair_pack(vec, w)]
+        for after in range(-1, 12):
+            above = [k for vec in vecs for k in vec if k > after]
+            assert next_slot(ints, after, w) == (min(above) if above
+                                                 else None)
+
+
+@pytest.mark.parametrize("d", [1, 5])
+def test_pair_width_holds_any_three_members_of_a_dense_maximal_table(d):
+    # every entry and column entry at its largest; each associativity
+    # member is then the same sum of n^3 equal products, the largest any
+    # table with these norms can give
+    n, big = 3, 10 ** 12
+    top = (big, big if d != 1 else 0)
+    mu = {key: {l: top for l in range(n)}
+          for key in itertools.product(range(n), repeat=3)}
+    cols = {j: {i: top for i in range(n)} for j in range(n)}
+    w = pair_width(d, mu, cols, cols)
+    member = pair_trilinear(mu, mu[0, 0, 0], cols[0], cols[0], d)
+    total = {l: (3 * a, 3 * b) for l, (a, b) in member.items()}
+    assert max(max(abs(a), abs(b)) for a, b in total.values()) < \
+        1 << (w - 1)
+    assert pair_unpack(*pair_pack(total, w), w, n) == total
