@@ -28,27 +28,22 @@ from .linalg import (
     mat_invertible,
     mat_is_identity,
     mat_radicand,
-    next_slot,
     pair_add_shifted,
     pair_dot,
     pair_pack,
     pair_trilinear,
-    pair_unpack,
     pair_width,
-    slot_bias,
     trilinear,
     vec_add_into,
 )
 from .report import (
     DEFAULT_MAX_VIOLATIONS,
-    PAIR,
-    PAIR_VECTOR,
     LawReport,
     Report,
     check_laws,
+    check_packed,
     difference,
     mode_laws,
-    mode_residuals,
     vec_str,
 )
 from .scalars import (
@@ -121,14 +116,14 @@ class TernaryHomAlgebra:
             self.mu, self._alpha1_cols, self._alpha2_cols)
         # each member has degree mu^2 alpha1 alpha2: one scale for all
         scale = den * den * den1 * den2
-        values = {}
-        check_laws(laws, mode_residuals(mode, PAIR_VECTOR),
-                   _assoc_rows(self.dim, mu, a1, a2, d, laws, mode,
-                               values),
-                   values.pop,
-                   lambda res: vec_str({i: unlift(a, b, scale, d)
-                                        for i, (a, b) in res.items()}),
-                   max_violations)
+        n, w = self.dim, pair_width(d, mu, a1, a2)
+        # weak mode compares t1 and t3 only
+        check_packed(laws, mode,
+                     _assoc_rows(n, mu, a1, a2, d, w, mode != "weak"),
+                     w, n, lambda row, k: row + divmod(k, n),
+                     lambda res: vec_str({i: unlift(a, b, scale, d)
+                                          for i, (a, b) in res.items()}),
+                     max_violations)
         return Report(laws)
 
     # -- multiplicativity of the twists ---------------------------------
@@ -182,17 +177,18 @@ class TernaryHomAlgebra:
         return TernaryHomAlgebra(self.dim, mu_new, rho, rho, radicand)
 
 
-def _assoc_rows(n: int, mu: dict, a1: dict, a2: dict, d: int, laws: list,
-                mode: str, values: dict):
-    """The index tuples ``check_associativity`` must see, in order, each
-    with its members put in ``values``; ``mu``, ``a1`` and ``a2`` are the
-    lifted tables and ``laws`` the reports check_laws fills.
+def _assoc_rows(n: int, mu: dict, a1: dict, a2: dict, d: int, w: int,
+                middle: bool):
+    """The rows (i1, i2, i3) of ``check_associativity`` for
+    ``report.check_packed``, every tuple (i4, i5) in the space of each; a
+    row whose members are all zero only if it is the last.  ``mu``,
+    ``a1`` and ``a2`` are the lifted tables, and t2 is left zero unless
+    ``middle``.
 
-    Row (i1, i2, i3) packs each member over (i4, i5, l) with ``pair_pack``
-    and decides every law of the mode for all its n^2 tuples by comparing
-    ints.  Each member is the sum over m of a packed inner product
-    coefficient times a table entry, each filled on first use by one
-    ``pair_trilinear`` call, packed over l:
+    Each member is packed over (i4, i5, l) with ``w``-bit slots.  It is
+    the sum over m of a packed inner product coefficient times a table
+    entry, each filled on first use by one ``pair_trilinear`` call,
+    packed over l:
 
     - t1: x_m = mu(e_i1, e_i2, e_i3)_m times A[m] = mu(e_m, a1 ., a2 .);
     - t2: y_m = mu(e_i2, e_i3, .)_m times B[i1][m] = mu(a1 e_i1, e_m, a2 .);
@@ -202,17 +198,11 @@ def _assoc_rows(n: int, mu: dict, a1: dict, a2: dict, d: int, laws: list,
     both.  The twists enter as their rows packed over those blocks, so a
     product of packed ints is a sum of shifted copies, as in Kronecker
     substitution.
-
-    Of a row that fails a law not yet truncated (check_laws evaluates no
-    other), only the tuples where such a law fails are yielded, their
-    members unpacked; then the next index, with zero members, so that
-    check_laws sees that an index remains.  All other tuples hold every
-    law check_laws still evaluates.
     """
     if not mu:
         return  # every member of every row is empty
-    w = pair_width(d, mu, a1, a2)
     wn, nn = w * n, n * n
+    space = (((1 << wn * nn) - 1) // ((1 << wn) - 1),)  # 1 in every tuple
     # the twists' rows, a1 over i4 and a2 over i5; the inner products of
     # t2 and t3, mu(e_r, e_s, .) over i4 and mu(e_r, ., .) over (i4, i5)
     rows1, rows2, Y, Z = {}, {}, {}, {}
@@ -225,22 +215,16 @@ def _assoc_rows(n: int, mu: dict, a1: dict, a2: dict, d: int, laws: list,
         for m, (a, b) in vec.items():
             pair_add_shifted(y, m, a, b, wn * n * t)
             pair_add_shifted(z, m, a, b, wn * (s * n + t))
-    row_laws = list(zip(laws, mode_residuals(mode, PAIR)))
-    middle = mode != "weak"  # weak mode compares t1 and t3 only
-    A, B, C = {}, {}, {}
-    mask, bias = (1 << wn) - 1, None  # one tuple's slots; all of a row's
-    after_failure = False
+    A, B, C, end = {}, {}, {}, (n - 1,) * 3
     for row in product(range(n), repeat=3):
-        if after_failure:
-            after_failure = False
-            values[row + (0, 0)] = ({}, {}, {})
-            yield row + (0, 0)
         i1, i2, i3 = row
         x = mu.get(row)
         c1, c2 = a1[i1], a2[i2]
         y = middle and c1 and Y.get((i2, i3))
         z = c1 and c2 and Z.get(i3)
         if not (x or y or z):
+            if row == end:
+                yield row, None, space
             continue
         t1 = t2 = t3 = PAIR_ZERO
         if x:
@@ -263,31 +247,7 @@ def _assoc_rows(n: int, mu: dict, a1: dict, a2: dict, d: int, laws: list,
                     c[m] = pair_pack(pair_trilinear(mu, c1, c2, {m: PAIR_ONE},
                                                     d), w)
             t3 = pair_dot(z, c, d)
-        members = t1, t2, t3
-        failing = []  # the packed residuals of the laws still open
-        for lr, law in row_laws:
-            if not lr.truncated:
-                failing += law(members) or ()
-        if not failing:
-            continue
-        # each tuple where one of them fails, and the members there
-        if bias is None:
-            bias, tuple_bias = slot_bias(w, n * nn), slot_bias(w, n)
-        ints = [v and v + bias for t in members for v in t]
-        k = next_slot(failing, -1, wn)
-        while k is not None:
-            chunks = [v and (v >> wn * k & mask) - tuple_bias for v in ints]
-            index = row + divmod(k, n)
-            values[index] = tuple(pair_unpack(chunks[j], chunks[j + 1], w, n)
-                                  for j in (0, 2, 4))
-            yield index
-            last, k = k, next_slot(failing, k, wn)
-        if last + 1 < nn:
-            index = row + divmod(last + 1, n)
-            values[index] = ({}, {}, {})
-            yield index
-        else:
-            after_failure = True
+        yield row, (t1, t2, t3), space
 
 
 def intertwining(lr: LawReport, g: Matrix, src, dst, maps: tuple, cap: int,

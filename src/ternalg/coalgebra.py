@@ -7,10 +7,10 @@ the same column convention as everywhere else.
 
 The normative coassociativity checker works at the level of maps: for each
 ``l`` it packs the three patterns ``(Delta x a1 x a2) Delta(e_l)`` and
-friends, rank-5 tensors, into Python ints and compares them whole.  The
-index-level identities are provided as an independent second encoding and
-are evaluated exactly as displayed; disagreement between the two encodings
-is reported, never reconciled.
+friends, rank-5 tensors, into Python ints, which ``report.check_packed``
+compares whole.  The index-level identities are provided as an
+independent second encoding and are evaluated exactly as displayed;
+disagreement between the two encodings is reported, never reconciled.
 """
 
 from __future__ import annotations
@@ -20,27 +20,24 @@ from functools import lru_cache
 
 from .algebra import twist_intertwining
 from .linalg import (
-    PAIR_ZERO,
     Matrix,
     SparseVec,
     drop_zeros,
     mat_columns,
     mat_identity,
     mat_invertible,
-    next_slot,
     pair_pack,
     pair_width,
-    slot_bias,
     vec_add_at,
     vec_sub,
 )
 from .report import (
     DEFAULT_MAX_VIOLATIONS,
-    PAIR,
     SCALAR,
     LawReport,
     Report,
     check_laws,
+    check_packed,
     itself,
     mode_laws,
     mode_residuals,
@@ -82,12 +79,11 @@ class TernaryHomCoalgebra:
             self.delta, self._alpha1_cols, self._alpha2_cols)
         # each pattern has degree Delta^2 alpha1 alpha2: one scale for all
         scale = den * den * den1 * den2
-        values = {}
-        check_laws(laws, mode_residuals(mode, PAIR),
-                   _coassoc_rows(self.dim, delta, a1, a2, d, laws, mode,
-                                 values),
-                   values.pop, lambda res: str(unlift(*res, scale, d)),
-                   max_violations)
+        n, w = self.dim, pair_width(d, delta, a1, a2)
+        check_packed(laws, mode, _coassoc_rows(n, delta, a1, a2, d, w),
+                     w, 1, lambda l, slot: _key(l, slot, n),
+                     lambda res: str(unlift(*res[0], scale, d)),
+                     max_violations)
         return Report(laws)
 
     # -- comultiplicativity ----------------------------------------------
@@ -158,36 +154,23 @@ class TernaryHomCoalgebra:
         return Report(laws)
 
 
-def _coassoc_rows(n: int, delta: dict, a1: dict, a2: dict, d: int,
-                  laws: list, mode: str, values: dict):
-    """The index tuples ``check_coassociativity`` must see, in order, each
-    with its members put in ``values``; ``delta``, ``a1`` and ``a2`` are
-    the lifted tables.
+def _coassoc_rows(n: int, delta: dict, a1: dict, a2: dict, d: int, w: int):
+    """The rows l of ``check_coassociativity`` for ``report.check_packed``;
+    ``delta``, ``a1`` and ``a2`` are the lifted tables.
 
     Row l packs the three patterns applied to Delta(e_l) over
-    (i, j, k, q, p) with ``pair_pack``, and decides every law of the mode
-    for all of them by comparing ints.  Each pattern puts Delta in one
-    slot and the twists in the other two; it is built from Delta(e_r)
-    packed at stride n^2, n or 1, one copy moved up by (q, p) for each
-    term of Delta(e_l) and each entry q, p of the two twist columns.
-
-    The tuples of a row are those where some pattern is nonzero.  Of a
-    row that fails a law not yet truncated (check_laws evaluates no
-    other), only the tuples where such a law fails are yielded, their
-    members unpacked; then the next tuple, in this row or the next that
-    has one, with zero members, so that check_laws sees that an index
-    remains.  All other tuples hold every law check_laws still evaluates.
+    (i, j, k, q, p) with ``w``-bit slots, and its space is the tuples where
+    some pattern is nonzero.  Each pattern puts Delta in one slot and the
+    twists in the other two; it is built from Delta(e_r) packed at stride
+    n^2, n or 1, one copy moved up by (q, p) for each term of Delta(e_l)
+    and each entry q, p of the two twist columns.
     """
     if not delta:
         return  # every pattern of every row is empty
-    w = pair_width(d, delta, a1, a2)
     nn, n3 = n * n, n ** 3
-    row_laws = list(zip(laws, mode_residuals(mode, PAIR)))
     # pattern m: stride of Delta's (i, j, k), then where q and p go
     layouts = ((nn, n, 1), (n, n3 * n, 1), (1, n3 * n, n3))
     packed = ({}, {}, {})  # Delta(e_r) at each pattern's stride
-    mask, half, bias = (1 << w) - 1, 1 << w - 1, None  # of a slot; a row
-    after_failure = False
     for l in range(n):
         entries = delta.get(l)
         if not entries:
@@ -210,36 +193,8 @@ def _coassoc_rows(n: int, delta: dict, a1: dict, a2: dict, d: int,
                         shift = w * (q * qs + p * ps)
                         ints[2 * m] += (ya * va + d * yb * vb) << shift
                         ints[2 * m + 1] += (ya * vb + yb * va) << shift
-        if not any(ints):
-            continue
-        members = tuple(zip(ints[::2], ints[1::2]))
-        failing = []  # the packed residuals of the laws still open
-        for lr, law in row_laws:
-            if not lr.truncated:
-                failing += law(members) or ()
-        last = -1  # the slot of the last tuple yielded
-        if failing:
-            # each tuple where such a law fails, and the members there
-            if bias is None:
-                bias = slot_bias(w, n3 * nn)
-            biased = [v + bias for v in ints]
-            slot = next_slot(failing, -1, w)
-            while slot is not None:
-                digits = [(v >> w * slot & mask) - half for v in biased]
-                key = _key(l, slot, n)
-                values[key] = tuple(zip(digits[::2], digits[1::2]))
-                yield key
-                last, slot = slot, next_slot(failing, slot, w)
-            after_failure = True
-        elif not after_failure:
-            continue
-        # the next tuple where a pattern is nonzero, in this row or after
-        rest = next_slot(ints, last, w)
-        if rest is not None:
-            after_failure = False
-            key = _key(l, rest, n)
-            values[key] = (PAIR_ZERO,) * 3
-            yield key
+        if any(ints):
+            yield l, tuple(zip(ints[::2], ints[1::2])), ints
 
 
 def _key(l: int, slot: int, n: int) -> tuple:

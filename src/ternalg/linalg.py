@@ -125,34 +125,6 @@ def pair_nonzero(vec: dict) -> dict:
     return vec
 
 
-def pair_vec_sub(u: dict, v: dict) -> dict:
-    """u - v for sparse vectors of int pairs, without zero entries."""
-    if u == v:
-        return {}
-    out = dict(u)
-    for key, (a, b) in v.items():
-        old = out.get(key)
-        if old is None:
-            out[key] = (-a, -b)
-        else:
-            a, b = old[0] - a, old[1] - b
-            if a or b:
-                out[key] = (a, b)
-            else:
-                del out[key]
-    return out
-
-
-def pair_vec_sum(vecs) -> dict:
-    """The sum of sparse vectors of int pairs, without zero entries."""
-    out = {}
-    for vec in vecs:
-        for key, (a, b) in vec.items():
-            oa, ob = out.get(key, PAIR_ZERO)
-            out[key] = (oa + a, ob + b)
-    return pair_nonzero(out)
-
-
 def pair_width(d: int, tensor: dict, *maps: dict) -> int:
     """Bits per slot that hold any sum of three members, each entry a
     sum of products of one entry of ``tensor``, one of its vectors and one
@@ -163,6 +135,8 @@ def pair_width(d: int, tensor: dict, *maps: dict) -> int:
     times its largest entry times the largest norm of a column of each
     map, and the width is the bit length of 3*B plus 2.
     """
+    if not tensor:
+        return 2  # B is 0, without a look at the maps
     top = big = 0
     for vec in tensor.values():
         s = 0

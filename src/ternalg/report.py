@@ -4,8 +4,11 @@ A checker evaluates a family of identities over all basis index tuples and
 records every nonzero residual, up to a per-law cap.  ``check_laws`` is
 that loop for every family: the family supplies its index tuples, the
 members of its identity at each, how to combine them into a residual per
-mode, and how to render a residual.  Reports aggregate one ``LawReport``
-per identity and expose a single ``passed`` flag.
+mode, and how to render a residual.  A family whose members come packed
+a row of index tuples at a time, as big ints, goes through
+``check_packed``, which decides each row by comparing ints and hands
+``check_laws`` only the tuples where a law fails.  Reports aggregate one
+``LawReport`` per identity and expose a single ``passed`` flag.
 """
 
 from __future__ import annotations
@@ -16,14 +19,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
 
-from .linalg import pair_vec_sub, pair_vec_sum, vec_sub, vec_sum
+from .linalg import next_slot, pair_unpack, vec_sub, vec_sum
 
 DEFAULT_MAX_VIOLATIONS = 10
 
 MODES = ("total", "partial", "weak")
 
-# how to subtract two members and sum all three, for scalar members and
-# for sparse-vector members, and for both kinds lifted to int pairs
+# how to subtract two members and sum all three, for scalar members, for
+# sparse-vector members, and for int pairs, lifted scalars or packed rows
 SCALAR = (operator.sub, lambda t: t[0] + t[1] + t[2])
 VECTOR = (vec_sub, vec_sum)
 
@@ -35,7 +38,6 @@ def _nonzero(a: int, b: int):
 PAIR = (lambda x, y: _nonzero(x[0] - y[0], x[1] - y[1]),
         lambda t: _nonzero(t[0][0] + t[1][0] + t[2][0],
                            t[0][1] + t[1][1] + t[2][1]))
-PAIR_VECTOR = (pair_vec_sub, pair_vec_sum)
 
 
 @dataclass(frozen=True)
@@ -113,8 +115,8 @@ def mode_residuals(mode: str, arith, chained: bool = False) -> tuple:
     Total mode asserts t1 = t2 = t3: the two laws t1 - t2 and t2 - t3, or
     one law when ``chained``, whose residual is t2 - t3 only where t1 - t2
     vanishes.  Partial mode asserts t1 + t2 + t3 = 0, weak mode t1 = t3.
-    ``arith`` is ``SCALAR``, ``VECTOR``, ``PAIR`` or ``PAIR_VECTOR``, the
-    kind of the members; a residual is falsy exactly where it vanishes.
+    ``arith`` is ``SCALAR``, ``VECTOR`` or ``PAIR``, the kind of the
+    members; a residual is falsy exactly where it vanishes.
     """
     sub, total = arith
     if mode == "total":
@@ -194,6 +196,81 @@ def check_laws(laws: list[LawReport], residuals: list, indices, members,
             else:
                 lr.truncated = True
                 pending = [e for e in pending if e is not entry]
+
+
+# each law's residual at a tuple, from the list that check_packed keeps
+_PICK = (operator.itemgetter(0), operator.itemgetter(1))
+
+
+def check_packed(laws: list[LawReport], mode: str, rows, w: int, span: int,
+                 key, fmt, cap: int) -> None:
+    """``check_laws`` for an identity whose members come a row at a time,
+    each a pair of ints (a, b), for a + b*sqrt(d), packed with signed
+    ``w``-bit slots.
+
+    ``rows`` yields ``(row, members, space)`` in index order: tuple k of
+    the row, ``key(row, k)``, takes ``span`` slots of each of the three
+    ``members`` (None when all are zero) from slot k*span on; the ints of
+    ``space`` are nonzero exactly at the row's index tuples.  A row whose
+    members are all zero may be left out, unless it is the last row with
+    tuples and a member of an earlier row is not zero.
+
+    Each law still open gets its residual on the packed members, one int
+    comparison per row.  Only the tuples where one fails reach
+    ``check_laws``, each law's residual there read back as
+    ``{slot: (a, b)}`` (slots of the tuple) for ``fmt``; after them, the
+    next tuple of the space with no residual, so that ``check_laws``
+    sees that an index remains.  No other tuple can change a report.
+    """
+    found = {}
+    tuples = _packed_tuples(rows, list(zip(laws, mode_residuals(mode, PAIR))),
+                            found, w * span, key)
+    check_laws(laws, _PICK[:len(laws)], tuples, found.pop,
+               lambda res: fmt(pair_unpack(*res, w, span)), cap)
+
+
+def _packed_tuples(rows, laws: list, found: dict, w: int, key):
+    """The index tuples ``check_packed`` hands ``check_laws``, each with
+    the residuals of ``laws``, (report, residual function) pairs, put in
+    ``found``; a tuple's slots are read as one of ``w`` bits."""
+    mask, half = (1 << w) - 1, 1 << w - 1
+    owed = False  # a row failed: the next tuple must reach check_laws
+    for row, members, space in rows:
+        failing = []  # the packed residuals of the laws still open
+        if members is not None:
+            for lr, law in laws:
+                if not lr.truncated:
+                    failing += law(members) or ()
+        elif not owed:
+            continue
+        last = -1  # the slot of the last tuple yielded
+        if failing:
+            residuals = [None if lr.truncated else law(members)
+                         for lr, law in laws]
+            slot = next_slot(failing, -1, w)
+            while slot is not None:
+                # each slot is below 2^(w-1) either way, so the slots
+                # below sum to less than half a unit of this one: adding
+                # that half rounds them away, and 2^(w-1) more at this
+                # slot puts its digit where the mask reads it
+                shift = w * slot
+                carry = (half << shift) + (1 << shift >> 1)
+                index = key(row, slot)
+                found[index] = [
+                    res and _nonzero(((res[0] + carry) >> shift & mask) - half,
+                                     ((res[1] + carry) >> shift & mask) - half)
+                    for res in residuals]
+                yield index
+                last, slot = slot, next_slot(failing, slot, w)
+            owed = True
+        elif not owed:
+            continue
+        rest = next_slot(space, last, w)
+        if rest is not None:
+            owed = False
+            index = key(row, rest)
+            found[index] = [None] * len(laws)
+            yield index
 
 
 @lru_cache(maxsize=None)

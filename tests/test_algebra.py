@@ -448,13 +448,24 @@ def reference_associativity(a, mode, cap):
     return Report(laws)
 
 
+def stop_points(full, n):
+    """Caps 1, 3 and none; at n <= 2 every cap up to one past the most
+    violations of a law in ``full()``, the report without a cap, so that
+    a checker is stopped at every place it can stop."""
+    if n > 2:
+        return (1, 3, UNLIMITED)
+    most = max(len(lr.violations) for lr in full().laws)
+    return (*range(1, most + 2), UNLIMITED)
+
+
 @pytest.mark.parametrize("radicand", [1, 2, 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_associativity_matches_quadscalar_reference(n, radicand):
     rng = random.Random(f"assoc-{n}-{radicand}")
     for a in differential_structures(rng, n, radicand):
         for mode in ("total", "partial", "weak"):
-            for cap in (1, 3, UNLIMITED):
+            for cap in stop_points(
+                    lambda: reference_associativity(a, mode, UNLIMITED), n):
                 assert a.check_associativity(mode, cap).as_dict() == \
                     reference_associativity(a, mode, cap).as_dict()
 
@@ -505,6 +516,19 @@ LAST_TUPLE = {
 }
 
 
+# every violation in one row before the last, as many of each law, the
+# last of each at the row's end, (i4, i5) = (2, 2); in partial and weak
+# mode every member of the rows after it is zero
+ROW_END = {
+    "total": ({(1, 0, 1): {0: -2, 1: -1}, (1, 0, 0): {0: -2, 1: -1}},
+              [[0, 0], [2, 0]], [[0, 0], [0, -1]]),
+    "partial": ({(0, 1, 1): {1: -2}, (0, 0, 1): {0: 1}},
+                [[0, -1], [2, -1]], [[0, -1], [0, 0]]),
+    "weak": ({(0, 1, 1): {0: -2, 1: -2}, (0, 0, 0): {1: 1, 0: 2}},
+             [[0, -1], [0, 0]], [[0, 0], [1, 0]]),
+}
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_truncated_when_the_cap_is_reached_in_the_first_row(mode):
     a = _int_algebra(*FIRST_ROW)
@@ -513,6 +537,23 @@ def test_truncated_when_the_cap_is_reached_in_the_first_row(mode):
                for lr in full.laws for v in lr.violations)
     (cap,) = {len(lr.violations) for lr in full.laws}
     # the rows after the first still remain, though every one holds
+    capped = a.check_associativity(mode, cap)
+    assert all(lr.truncated for lr in capped.laws)
+    assert [lr.violations for lr in capped.laws] == \
+        [lr.violations for lr in full.laws]
+    assert not any(lr.truncated
+                   for lr in a.check_associativity(mode, cap + 1).laws)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_truncated_when_the_cap_is_reached_at_the_end_of_a_row(mode):
+    a = _int_algebra(*ROW_END[mode])
+    full = a.check_associativity(mode, UNLIMITED)
+    (row,) = {v.index[:3] for lr in full.laws for v in lr.violations}
+    assert row != (2, 2, 2)
+    assert all(lr.violations[-1].index == row + (2, 2) for lr in full.laws)
+    (cap,) = {len(lr.violations) for lr in full.laws}
+    # the tuple after the last violation is in a later row
     capped = a.check_associativity(mode, cap)
     assert all(lr.truncated for lr in capped.laws)
     assert [lr.violations for lr in capped.laws] == \

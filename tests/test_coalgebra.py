@@ -30,6 +30,7 @@ from test_algebra import (
     _verdicts,
     differential_structures,
     refuse,
+    stop_points,
 )
 
 
@@ -192,9 +193,10 @@ def test_map_of_another_size_is_refused(size):
 # -- fraction-free coassociativity against QuadScalar evaluation ----------
 
 
-def reference_coassociativity(c, mode, cap):
-    """check_coassociativity with every pattern built from delta_vec,
-    mat_column and QuadScalar arithmetic."""
+def reference_patterns(c):
+    """For each l, the three patterns applied to Delta(e_l), sparse
+    tensors over (i, j, k, q, p) built from delta_vec, mat_column and
+    QuadScalar arithmetic."""
     patterns = []
     for l in range(c.dim):
         u = ({}, {}, {})
@@ -209,6 +211,12 @@ def reference_coassociativity(c, mode, cap):
                             key[m:m] = ijk
                             vec_add_at(u[m], tuple(key), y * yk * yh)
         patterns.append(u)
+    return patterns
+
+
+def reference_coassociativity(c, mode, cap):
+    """check_coassociativity on the patterns of ``reference_patterns``."""
+    patterns = reference_patterns(c)
     indices = [(l,) + key for l, u in enumerate(patterns)
                for key in sorted(set().union(*u))]
     laws = mode_laws("coassoc", ("ct1a", "ct1b", "cq1", "cw1"), mode)
@@ -221,7 +229,8 @@ def reference_coassociativity(c, mode, cap):
 
 def assert_matches_reference(c):
     for mode in ("total", "partial", "weak"):
-        for cap in (1, 3, UNLIMITED):
+        for cap in stop_points(
+                lambda: reference_coassociativity(c, mode, UNLIMITED), c.dim):
             assert c.check_coassociativity(mode, cap).as_dict() == \
                 reference_coassociativity(c, mode, cap).as_dict()
 
@@ -272,6 +281,25 @@ LAST_TUPLE = {
 }
 
 
+# every violation in row l = 1, as many of each law, the last of each at
+# the last tuple of the row where a pattern is nonzero; row l = 2 has such
+# a tuple (True) or none (False)
+ROW_END = {
+    ("total", True): ({(1, 1, 1): {1: -1}, (1, 0, 1): {0: -1}},
+                      [[1, -1], [0, 1]], [[1, -1], [0, 2]]),
+    ("total", False): ({(1, 0, 1): {0: -1}},
+                       [[-1, 1], [0, 2]], [[0, 0], [2, -1]]),
+    ("partial", True): ({(1, 0, 1): {1: -1}, (0, 1, 1): {0: 1}},
+                        [[0, 2], [0, 2]], [[0, 0], [0, 1]]),
+    ("partial", False): ({(1, 1, 1): {0: -1}, (1, 0, 0): {0: 1}},
+                         [[-1, -1], [-1, -1]], [[1, -1], [0, 0]]),
+    ("weak", True): ({(1, 1, 1): {1: 2}, (0, 1, 1): {0: 1}},
+                     [[2, 2], [0, -1]], [[-1, 0], [0, 1]]),
+    ("weak", False): ({(1, 1, 1): {0: -1}, (1, 0, 0): {0: 1}},
+                      [[-1, -1], [-1, -1]], [[1, -1], [0, 0]]),
+}
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_truncated_when_the_cap_is_reached_in_the_first_row(mode):
     c = dualize_algebra(_int_algebra(*FIRST_ROW[mode]))
@@ -284,6 +312,22 @@ def test_truncated_when_the_cap_is_reached_in_the_first_row(mode):
         [lr.violations for lr in full.laws]
     assert not any(lr.truncated
                    for lr in c.check_coassociativity(mode, cap + 1).laws)
+
+
+@pytest.mark.parametrize("later", [True, False])
+@pytest.mark.parametrize("mode", MODES)
+def test_truncated_at_a_row_end_only_if_a_later_row_has_a_tuple(mode, later):
+    c = dualize_algebra(_int_algebra(*ROW_END[mode, later]))
+    full = c.check_coassociativity(mode, UNLIMITED)
+    tuples = [sorted(set().union(*u)) for u in reference_patterns(c)]
+    end = (1,) + tuple(i + 1 for i in tuples[0][-1])
+    assert all(lr.violations[-1].index == end for lr in full.laws)
+    assert bool(tuples[1]) == later
+    (cap,) = {len(lr.violations) for lr in full.laws}
+    capped = c.check_coassociativity(mode, cap)
+    assert [lr.truncated for lr in capped.laws] == [later] * len(full.laws)
+    assert [lr.violations for lr in capped.laws] == \
+        [lr.violations for lr in full.laws]
 
 
 @pytest.mark.parametrize("mode", MODES)
