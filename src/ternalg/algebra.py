@@ -12,9 +12,8 @@ reported with its 1-based basis index tuple.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import partial
+from functools import reduce
 from itertools import product
-from operator import getitem
 
 from .linalg import (
     PAIR_ONE,
@@ -28,8 +27,10 @@ from .linalg import (
     mat_invertible,
     mat_is_identity,
     mat_radicand,
+    pair_add_scaled,
     pair_add_shifted,
     pair_dot,
+    pair_nonzero,
     pair_pack,
     pair_trilinear,
     pair_width,
@@ -42,7 +43,7 @@ from .report import (
     Report,
     check_laws,
     check_packed,
-    difference,
+    itself,
     mode_laws,
     vec_str,
 )
@@ -50,7 +51,9 @@ from .scalars import (
     ONE as _ONE,
     ZERO as _ZERO,
     RadicandMismatch,
+    join_radicands,
     lift,
+    lift_columns,
     unlift,
 )
 
@@ -132,9 +135,9 @@ class TernaryHomAlgebra:
                                ) -> Report:
         laws = (("multiplicative:alpha1", "mult1", self.alpha1),
                 ("multiplicative:alpha2", "mult2", self.alpha2))
-        return Report([intertwining(LawReport(name, tag), mat, self.mu_basis,
-                                    self.mu_vec, (mat,) * 3, max_violations)
-                       for name, tag, mat in laws])
+        return Report(list(intertwining(
+            [(LawReport(name, tag), mat, self.mu, self.mu, (mat,) * 3)
+             for name, tag, mat in laws], max_violations)))
 
     def multiplication_operators(self, x: SparseVec, y: SparseVec
                                  ) -> tuple[Matrix, Matrix, Matrix]:
@@ -145,13 +148,8 @@ class TernaryHomAlgebra:
     def operator_matrix(self, op, x: SparseVec, y: SparseVec) -> Matrix:
         """Matrix of z -> op(x, y, z) for one of op_L, op_R, op_M."""
         n = self.dim
-        cols = self.operator_columns(op, x, y)
+        cols = [op(x, y, {j: _ONE}) for j in range(n)]
         return [[cols[j].get(i, _ZERO) for j in range(n)] for i in range(n)]
-
-    def operator_columns(self, op, x: SparseVec, y: SparseVec
-                         ) -> list[SparseVec]:
-        """The sparse columns of ``operator_matrix(op, x, y)``."""
-        return [op(x, y, {j: _ONE}) for j in range(self.dim)]
 
     # -- constructions --------------------------------------------------
 
@@ -167,13 +165,17 @@ class TernaryHomAlgebra:
         if self.radicand not in (1, radicand):
             raise RadicandMismatch(
                 f"sqrt({self.radicand}) vs sqrt({radicand})")
-        probe = intertwining(LawReport("endomorphism", "endo"), rho,
-                             self.mu_basis, self.mu_vec, (rho,) * 3, 1)
+        probe = next(intertwining(
+            [(LawReport("endomorphism", "endo"), rho, self.mu, self.mu,
+              (rho,) * 3)], 1))
         if probe.violations:
             raise NotEndomorphism(probe.violations[0].index)
+        cols = mat_columns(rho)
         mu_new: MuTensor = {}
         for key, vec in self.mu.items():
-            mu_new[key] = mat_apply(rho, vec)
+            out = mu_new[key] = {}
+            for j, c in vec.items():
+                vec_add_into(out, cols[j], c)
         return TernaryHomAlgebra(self.dim, mu_new, rho, rho, radicand)
 
 
@@ -250,39 +252,97 @@ def _assoc_rows(n: int, mu: dict, a1: dict, a2: dict, d: int, w: int,
         yield row, (t1, t2, t3), space
 
 
-def intertwining(lr: LawReport, g: Matrix, src, dst, maps: tuple, cap: int,
-                 fmt=vec_str) -> LawReport:
-    """Record g src(i, j, ...) - dst(f1 e_i, f2 e_j, ...) in ``lr``, and
-    return it.  ``src`` takes basis indices and ``dst`` sparse vectors; the
-    k-th index runs over the basis that f_k = ``maps[k]`` acts on.  ``g``
-    and the maps are turned into columns once."""
-    g_cols = mat_columns(g)
-    cols = [g_cols if f is g else mat_columns(f) for f in maps]
+def intertwining(laws, cap: int, basis: str = "e") -> Iterator[LawReport]:
+    """Record g src(e_i, e_j, ...) - dst(f1 e_i, f2 e_j, ...) for each law
+    ``(lr, g, src, dst, maps)`` of ``laws`` in its report ``lr`` and yield
+    ``lr``; the next law is taken only when the generator is resumed.
 
-    def members(idx):
-        lhs: SparseVec = {}
-        for j, c in src(*idx).items():
-            vec_add_into(lhs, g_cols[j], c)
-        return lhs, dst(*map(getitem, cols, idx))
+    ``src`` and ``dst`` are tensors of arity 3, keyed in the order the
+    index runs, or lists of columns, of arity 1; index k runs over the
+    basis that the matrix f_k = ``maps[k]`` acts on, and ``g`` is a matrix.
+    Each distinct table and matrix is lifted once per call.  The side g src
+    carries the denominators D_g D_src and dst(f1 ., ...) carries
+    D_dst D_f1 ..., so each side is scaled by the other's before the two are
+    compared, and a residual becomes scalars only when it is recorded.  dst
+    with its first two slots filled by f1 e_i and f2 e_j is kept per (i, j)
+    from first use.
+    """
+    seen = {}  # id -> the object, kept so that the id stays its own, and
+    # its lift
 
-    check_laws([lr], [difference], product(*[range(len(f)) for f in maps]),
-               members, fmt, cap)
-    return lr
+    def lifted(obj, matrix=False):
+        hit = seen.get(id(obj))
+        if hit is None:
+            hit = seen[id(obj)] = obj, (lift_columns if matrix else lift)(obj)
+        return hit[1]
+
+    for lr, g, src, dst, maps in laws:
+        parts = [lifted(g, True), lifted(src), lifted(dst),
+                 *[lifted(f, True) for f in maps]]
+        d = reduce(join_radicands, {rad for rad, _ in parts})
+        (dg, g_cols), (ds, s), (dt, t), *fs = [table for _, table in parts]
+        left, right = dt, dg * ds
+        for den, _ in fs:
+            left *= den
+        *first, last = [cols for _, cols in fs]
+        inner = {}  # dst(f1 e_i, f2 e_j, e_u) by (i, j), then by u
+
+        def members(idx):
+            out = {}
+            k = idx[-1]
+            x = s.get(idx if first else k)
+            if x:
+                for m, (a, b) in x.items():
+                    pair_add_scaled(out, g_cols[m], a * left, b * left, d)
+            if first:
+                head = idx[:2]
+                part = inner.get(head)
+                if part is None:
+                    part = inner[head] = _two_slots(
+                        t, first[0][idx[0]], first[1][idx[1]], len(last), d)
+            else:
+                part = t
+            for u, (a, b) in last[k].items():
+                vec = part.get(u)
+                if vec:
+                    pair_add_scaled(out, vec, -a * right, -b * right, d)
+            return pair_nonzero(out)
+
+        scale = left * right
+        check_laws([lr], [itself], product(*[range(len(f)) for f in maps]),
+                   members,
+                   lambda res: vec_str({i: unlift(a, b, scale, d)
+                                        for i, (a, b) in res.items()}, basis),
+                   cap)
+        yield lr
 
 
-def twist_intertwining(f: Matrix, a, b, kind: str, tag: str,
-                       cap: int) -> Iterator[LawReport]:
-    """f a.alpha_k - b.alpha_k f column by column, for k = 1, 2, lazily.
+def _two_slots(t: dict, x: dict, y: dict, n: int, d: int) -> dict:
+    """{u: t(x, y, e_u)} for u < n, a lifted tensor ``t`` of arity 3 with
+    its first two slots filled by lifted vectors."""
+    out = {}
+    for r, (xa, xb) in x.items():
+        for s, (ya, yb) in y.items():
+            ca, cb = xa * ya + d * xb * yb, xa * yb + xb * ya
+            for u in range(n):
+                vec = t.get((r, s, u))
+                if vec:
+                    pair_add_scaled(out.setdefault(u, {}), vec, ca, cb, d)
+    return out
+
+
+def twist_intertwining(f: Matrix, a, b, kind: str, tag: str) -> list:
+    """The laws f a.alpha_k = b.alpha_k f, for k = 1, 2, as ``intertwining``
+    takes them, checked column by column.
 
     ``a`` and ``b`` are algebras or coalgebras; the laws are named
     ``{kind}:twist1`` and ``{kind}:twist2`` and tagged ``{tag}2``,
     ``{tag}3``.
     """
-    return (intertwining(LawReport(f"{kind}:twist{k}", f"{tag}{k + 1}"), f,
-                         mat_columns(am).__getitem__,
-                         partial(mat_apply, bm), (f,), cap)
+    return [(LawReport(f"{kind}:twist{k}", f"{tag}{k + 1}"), f,
+             mat_columns(am), mat_columns(bm), (f,))
             for k, am, bm in ((1, a.alpha1, b.alpha1),
-                              (2, a.alpha2, b.alpha2)))
+                              (2, a.alpha2, b.alpha2))]
 
 
 def morphism_laws(f: Matrix, a: TernaryHomAlgebra, b: TernaryHomAlgebra,
@@ -290,9 +350,12 @@ def morphism_laws(f: Matrix, a: TernaryHomAlgebra, b: TernaryHomAlgebra,
     """The laws of an algebra morphism, each checked when it is reached."""
     if not a.dim == b.dim == len(f):
         raise ValueError("dimension mismatch")
-    yield intertwining(LawReport("morphism:product", "mor1"), f, a.mu_basis,
-                       b.mu_vec, (f,) * 3, cap)
-    yield from twist_intertwining(f, a, b, "morphism", "mor", cap)
+
+    def laws():
+        yield LawReport("morphism:product", "mor1"), f, a.mu, b.mu, (f,) * 3
+        yield from twist_intertwining(f, a, b, "morphism", "mor")
+
+    return intertwining(laws(), cap)
 
 
 def check_algebra_morphism(f: Matrix, a: TernaryHomAlgebra, b: TernaryHomAlgebra,

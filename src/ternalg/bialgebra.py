@@ -21,10 +21,19 @@ from .coalgebra import (
     Tensor3,
     check_coalgebra_morphism,
     comorphism_laws,
-    tensor3_apply,
 )
 from .duality import dualize_algebra, dualize_coalgebra
-from .linalg import Matrix, mat_columns, mat_invertible, vec_add_at, vec_sum
+from .linalg import (
+    PAIR_ONE,
+    PAIR_ZERO,
+    Matrix,
+    mat_columns,
+    mat_invertible,
+    pair_add_scaled,
+    pair_nonzero,
+    pair_trilinear,
+    vec_add_at,
+)
 from .report import (
     DEFAULT_MAX_VIOLATIONS,
     LawReport,
@@ -33,7 +42,7 @@ from .report import (
     difference,
     itself,
 )
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, lift, unlift
 
 
 class MismatchedStructures(ValueError):
@@ -80,29 +89,76 @@ def _t3_str(t: Tensor3) -> str:
 
 def check_compatibility(bi: TernaryBialgebra,
                         max_violations: int = DEFAULT_MAX_VIOLATIONS) -> Report:
-    """Coproduct of a product equals the three-operator expansion."""
-    alg, co = bi.alg, bi.coalg
-    a1c, a2c = mat_columns(alg.alpha1), mat_columns(alg.alpha2)
+    """Coproduct of a product equals the three-operator expansion.
+
+    Both sides run on int pairs, each table lifted once.
+    Delta(mu(e_i, e_j, e_k)) carries the denominators D_mu D_Delta and each
+    operator term D_mu D_Delta (D_a1 D_a2)^2, so the left side is scaled by
+    (D_a1 D_a2)^2.  An operator's columns are built once per pair of slots
+    it reads, and only where the coproduct slot it acts on is nonempty.
+    """
+    n = bi.dim
+    d, (dm, mu), (dd, delta), (d1, a1), (d2, a2) = lift(
+        bi.alg.mu, bi.coalg.delta, mat_columns(bi.alpha1),
+        mat_columns(bi.alpha2))
+    left = (d1 * d2) ** 2
+    scale = dm * dd * left
+    built = {}  # operator columns by (slot of e_z, index read by a1, by a2)
 
     def members(key):
         i, j, k = key
-        # an operator's columns are built only for a nonempty slot
-        terms = []
-        if co.delta_basis(k):
-            lcols = alg.operator_columns(alg.op_L, a1c[i], a2c[j])
-            terms.append(tensor3_apply(lcols, a1c, a2c, co.delta_basis(k)))
-        if co.delta_basis(j):
-            mcols = alg.operator_columns(alg.op_M, a1c[i], a2c[k])
-            terms.append(tensor3_apply(a1c, mcols, a2c, co.delta_basis(j)))
-        if co.delta_basis(i):
-            rcols = alg.operator_columns(alg.op_R, a1c[j], a2c[k])
-            terms.append(tensor3_apply(a1c, a2c, rcols, co.delta_basis(i)))
-        return co.delta_vec(alg.mu_basis(i, j, k)), vec_sum(terms)
+        out = {}
+        for l, (a, b) in mu.get(key, {}).items():
+            if l in delta:
+                pair_add_scaled(out, delta[l], a * left, b * left, d)
+        # z -> mu(a1 e_i, a2 e_j, z) on Delta(e_k) in the first tensor
+        # slot, z -> mu(a1 e_i, z, a2 e_k) on Delta(e_j) in the middle one
+        # and z -> mu(z, a1 e_j, a2 e_k) on Delta(e_i) in the last one
+        for slot, p, q, r in ((2, i, j, k), (1, i, k, j), (0, j, k, i)):
+            if r in delta:
+                cols = built.get((slot, p, q))
+                if cols is None:
+                    cols = built[slot, p, q] = _operator_columns(
+                        mu, a1[p], a2[q], slot, n, d)
+                maps = [a1, a2]
+                maps.insert(2 - slot, cols)
+                _subtract_applied(out, *maps, delta[r], d)
+        return pair_nonzero(out)
 
     lr = LawReport("compat", "cp1")
-    check_laws([lr], [difference], itertools.product(range(bi.dim), repeat=3),
-               members, _t3_str, max_violations)
+    check_laws([lr], [itself], itertools.product(range(n), repeat=3),
+               members,
+               lambda res: _t3_str({key: unlift(a, b, scale, d)
+                                    for key, (a, b) in res.items()}),
+               max_violations)
     return Report([lr])
+
+
+def _operator_columns(mu: dict, x: dict, y: dict, slot: int, n: int,
+                      d: int) -> list:
+    """The columns of z -> mu with z in ``slot`` and x, y in the other two
+    slots in order, all lifted."""
+    cols = []
+    for z in range(n):
+        args = [x, y]
+        args.insert(slot, {z: PAIR_ONE})
+        cols.append(pair_trilinear(mu, *args, d))
+    return cols
+
+
+def _subtract_applied(out: dict, cols1, cols2, cols3, t: dict,
+                      d: int) -> None:
+    """out -= (f1 x f2 x f3) t for the maps given by their lifted columns,
+    over int pairs."""
+    for (r, s, u), (ca, cb) in t.items():
+        for i, (xa, xb) in cols1[r].items():
+            pa, pb = ca * xa + d * cb * xb, ca * xb + cb * xa
+            for j, (ya, yb) in cols2[s].items():
+                qa, qb = pa * ya + d * pb * yb, pa * yb + pb * ya
+                for k, (za, zb) in cols3[u].items():
+                    oa, ob = out.get((i, j, k), PAIR_ZERO)
+                    out[i, j, k] = (oa - qa * za - d * qb * zb,
+                                    ob - qa * zb - qb * za)
 
 
 def check_compatibility_sigma_form(bi: TernaryBialgebra,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import lru_cache
 
-from .algebra import twist_intertwining
+from .algebra import intertwining, twist_intertwining
 from .linalg import (
     Matrix,
     SparseVec,
@@ -213,7 +213,8 @@ def comorphism_laws(f: Matrix, c1: TernaryHomCoalgebra,
     lr = LawReport("comorphism:coproduct", "comor1")
     _comorphism_defects(c1, f, c2, lr, cap)
     yield lr
-    yield from twist_intertwining(f, c1, c2, "comorphism", "comor", cap)
+    yield from intertwining(
+        twist_intertwining(f, c1, c2, "comorphism", "comor"), cap)
 
 
 def check_coalgebra_morphism(f: Matrix, c1: TernaryHomCoalgebra,

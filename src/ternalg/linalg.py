@@ -235,6 +235,14 @@ def pair_dot(coeffs: dict, table: dict, d: int) -> tuple[int, int]:
     return ta, tb
 
 
+def pair_add_scaled(out: dict, vec: dict, a: int, b: int, d: int) -> None:
+    """out += (a + b*sqrt(d)) * vec, for sparse vectors of int pairs; an
+    entry that cancels stays, as (0, 0)."""
+    for k, (va, vb) in vec.items():
+        oa, ob = out.get(k, PAIR_ZERO)
+        out[k] = (oa + a * va + d * b * vb, ob + a * vb + b * va)
+
+
 def pair_add_shifted(vec: dict, key, a: int, b: int, shift: int) -> None:
     """vec[key] += (a, b) moved up ``shift`` bits, as a packed slot."""
     va, vb = vec.get(key, PAIR_ZERO)

@@ -11,10 +11,13 @@ object: each result is reduced by one gcd.
 Checkers that evaluate many products at once skip even that gcd: ``lift``
 clears the denominators of a table of scalars once, the products run on
 bare int pairs ``(a, b)`` standing for ``a + b*sqrt(d)``, and ``unlift``
-reduces a pair back to a scalar only when it is reported.  The
-associativity and coassociativity checkers go one step further and pack a
-whole vector of such pairs into two ints (``linalg.pair_pack``), so one
-int operation handles a row of entries.
+reduces a pair back to a scalar only when it is reported.  Associativity,
+coassociativity, every intertwining law (multiplicativity, morphisms, the
+Yau-twist probe, the trimodule and matched-pair intertwining laws) and
+the compatibility law of a bialgebra run this way.  Associativity and
+coassociativity go one step further and pack a whole vector of such pairs
+into two ints (``linalg.pair_pack``), so one int operation handles a row
+of entries.
 """
 
 from __future__ import annotations
@@ -53,9 +56,9 @@ def square_free(k: int) -> tuple[int, int]:
     return root, k
 
 
-def _join(d1: int, d2: int) -> int:
-    """The common radicand of two different ones, one of them 1."""
-    if d1 == 1:
+def join_radicands(d1: int, d2: int) -> int:
+    """The common radicand of two, equal or one of them 1."""
+    if d1 == 1 or d1 == d2:
         return d2
     if d2 == 1:
         return d1
@@ -109,7 +112,7 @@ class QuadScalar:
         a1, b1, q1, d = self._a, self._b, self._q, self._d
         a2, b2, q2, d2 = other._a, other._b, other._q, other._d
         if d != d2:
-            d = _join(d, d2)
+            d = join_radicands(d, d2)
         if q1 == q2:
             return _make(a1 + a2, b1 + b2, q1, d)
         return _make(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1, q1 * q2, d)
@@ -120,7 +123,7 @@ class QuadScalar:
         a1, b1, q1, d = self._a, self._b, self._q, self._d
         a2, b2, q2, d2 = other._a, other._b, other._q, other._d
         if d != d2:
-            d = _join(d, d2)
+            d = join_radicands(d, d2)
         if q1 == q2:
             return _make(a1 - a2, b1 - b2, q1, d)
         return _make(a1 * q2 - a2 * q1, b1 * q2 - b2 * q1, q1 * q2, d)
@@ -141,7 +144,7 @@ class QuadScalar:
         if not b2:
             return _make(a1 * a2, b1 * a2, q1 * q2, d)
         if d != d2:
-            d = _join(d, d2)
+            d = join_radicands(d, d2)
         return _make(a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2, q1 * q2, d)
 
     def inverse(self) -> "QuadScalar":
@@ -217,24 +220,53 @@ def lift(*tables) -> list:
     out = []
     for table in tables:
         keyed = table.items() if isinstance(table, dict) else enumerate(table)
-        den = 1
+        den = None  # the q of the first entry, then the lcm
+        mixed = False  # some entry's q is not den: it needs scaling
         lifted = {}
         for key, vec in keyed:
             pairs = lifted[key] = {}
             for i, x in vec.items():
                 if x._d != d:
-                    d = _join(d, x._d)
-                if den % x._q:
-                    den = lcm(den, x._q)
+                    d = join_radicands(d, x._d)
+                q = x._q
+                if q != den:
+                    if den is None:
+                        den = q
+                    else:
+                        mixed = True
+                        if den % q:
+                            den = lcm(den, q)
                 pairs[i] = (x._a, x._b)
-        if den != 1:
+        if mixed:
             for key, pairs in lifted.items():
                 vec = table[key]
                 for i, (a, b) in pairs.items():
                     m = den // vec[i]._q
                     pairs[i] = (a * m, b * m)
-        out.append((den, lifted))
+        out.append((den or 1, lifted))
     return [d, *out]
+
+
+def lift_columns(matrix: list) -> list:
+    """``lift`` of the columns of a square matrix given by its rows, so
+    that ``matrix[i][j]`` is entry i of column j; zero entries are left
+    out."""
+    d = den = 1
+    for row in matrix:
+        for x in row:
+            if x._d != d:
+                d = join_radicands(d, x._d)
+            if den % x._q:
+                den = lcm(den, x._q)
+    cols = {}
+    for j in range(len(matrix)):
+        col = cols[j] = {}
+        for i, row in enumerate(matrix):
+            x = row[j]
+            if x._a or x._b:
+                m = den // x._q
+                col[i] = (x._a * m, x._b * m)
+    return [d, (den, cols)]
 
 
 def unlift(a: int, b: int, den: int, d: int) -> QuadScalar:

@@ -155,11 +155,14 @@ def intertwining_laws(alg: TernaryHomAlgebra, mod: BihomModule,
                       cap: int) -> None:
     """gamma op(a, b, v) = op(a1 a, a2 b, gamma v), one law per pair of
     op = L, M, R and gamma = beta1, beta2, in that order."""
-    pairs = product((act.op_L, act.op_M, act.op_R), (mod.beta1, mod.beta2))
-    for lr, (op, gamma) in zip(laws, pairs):
-        intertwining(lr, gamma,
-                     lambda a, b, v: op({a: ONE}, {b: ONE}, {v: ONE}),
-                     op, (alg.alpha1, alg.alpha2, gamma), cap, module_vec_str)
+    # each action keyed in the order its index runs, (a, b, v)
+    ops = (act.L, {(a, b, v): vec for (a, v, b), vec in act.M.items()},
+           {(a, b, v): vec for (v, a, b), vec in act.R.items()})
+    pairs = product(ops, (mod.beta1, mod.beta2))
+    for _ in intertwining(((lr, gamma, op, op, (alg.alpha1, alg.alpha2, gamma))
+                           for lr, (op, gamma) in zip(laws, pairs)),
+                          cap, "f"):
+        pass
 
 
 def regular_actions(alg: TernaryHomAlgebra, which: str = "lmr"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -13,17 +14,21 @@ from ternalg.algebra import (
     is_algebra_isomorphism,
 )
 from ternalg.linalg import (
+    drop_zeros,
     mat_apply,
     mat_columns,
     mat_identity,
     mat_inverse,
     mat_mul,
+    vec_add_into,
 )
 from ternalg.report import (
     SCALAR,
     VECTOR,
+    LawReport,
     Report,
     check_laws,
+    difference,
     mode_laws,
     mode_residuals,
     vec_str,
@@ -488,6 +493,127 @@ def test_mixed_radicands_are_refused():
     for mode in ("total", "partial", "weak"):
         with pytest.raises(RadicandMismatch):
             a.check_associativity(mode)
+
+
+# -- fraction-free intertwining against QuadScalar evaluation -------------
+
+
+def reference_intertwining(lr, g, src, dst, maps, cap, fmt=vec_str):
+    """One law of ``intertwining`` evaluated one index tuple at a time on
+    QuadScalar: ``src`` takes basis indices, ``dst`` sparse vectors, and g
+    src(i, ...) is summed column by column."""
+    g_cols = mat_columns(g)
+    cols = [mat_columns(f) for f in maps]
+
+    def members(idx):
+        lhs = {}
+        for j, c in src(*idx).items():
+            vec_add_into(lhs, g_cols[j], c)
+        return lhs, dst(*[col[i] for col, i in zip(cols, idx)])
+
+    check_laws([lr], [difference], product(*[range(len(f)) for f in maps]),
+               members, fmt, cap)
+    return lr
+
+
+def reference_multiplicativity(a, cap):
+    return Report([reference_intertwining(LawReport(name, tag), m, a.mu_basis,
+                                          a.mu_vec, (m,) * 3, cap)
+                   for name, tag, m in
+                   (("multiplicative:alpha1", "mult1", a.alpha1),
+                    ("multiplicative:alpha2", "mult2", a.alpha2))])
+
+
+def reference_morphism(f, a, b, cap):
+    """check_algebra_morphism on reference_intertwining; a twist law has
+    arity 1, a column of a's twist against b's twist applied to f e_i."""
+    laws = [reference_intertwining(LawReport("morphism:product", "mor1"), f,
+                                   a.mu_basis, b.mu_vec, (f,) * 3, cap)]
+    for k, am, bm in ((1, a.alpha1, b.alpha1), (2, a.alpha2, b.alpha2)):
+        laws.append(reference_intertwining(
+            LawReport(f"morphism:twist{k}", f"mor{k + 1}"), f,
+            mat_columns(am).__getitem__, partial(mat_apply, bm), (f,), cap))
+    return Report(laws)
+
+
+def _sixths(rng, radicand):
+    """A scalar over the denominators 1, 2 and 3, irrational about half the
+    time."""
+    def part():
+        return Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+
+    x = QuadScalar(part())
+    if radicand != 1 and rng.random() < 0.5:
+        x = x + QuadScalar(0, part(), radicand)
+    return x
+
+
+def sixths_matrix(rng, n, radicand):
+    return [[_sixths(rng, radicand) if rng.random() < 0.7 else q(0)
+             for _ in range(n)] for _ in range(n)]
+
+
+def sixths_tensor(rng, shape, out, radicand):
+    """A random sparse tensor over index tuples of ``shape``, each vector
+    over ``out`` basis indices."""
+    return {key: {l: _sixths(rng, radicand) for l in range(out)
+                  if rng.random() < 0.7}
+            for key in product(*map(range, shape)) if rng.random() < 0.6}
+
+
+def _intertwining_structures(rng, n, radicand):
+    """Random products and twists over the denominators 2 and 3, which
+    mostly fail, a twisted one that is multiplicative, and that one scaled
+    by such a constant and in another basis."""
+    twisted = _algebra(rng, n, radicand, "twisted")
+    scale = _sixths(rng, radicand) + q(5)
+    scaled = TernaryHomAlgebra(
+        n, {key: {l: scale * c for l, c in vec.items()}
+            for key, vec in twisted.mu.items()},
+        twisted.alpha1, twisted.alpha2, radicand)
+    return [TernaryHomAlgebra(n, sixths_tensor(rng, (n,) * 3, n, radicand),
+                              sixths_matrix(rng, n, radicand),
+                              sixths_matrix(rng, n, radicand), radicand)
+            for _ in range(2)] + [
+        twisted, _transport(_change_of_basis(rng, n, radicand), scaled)]
+
+
+@pytest.mark.parametrize("radicand", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_intertwining_matches_quadscalar_reference(n, radicand):
+    rng = random.Random(f"intertwining-{n}-{radicand}")
+    for a in _intertwining_structures(rng, n, radicand):
+        for cap in stop_points(
+                lambda: reference_multiplicativity(a, UNLIMITED), n):
+            assert a.check_multiplicativity(cap).as_dict() == \
+                reference_multiplicativity(a, cap).as_dict()
+        t = _change_of_basis(rng, n, radicand)
+        b = _transport(t, a)
+        for f in (t, sixths_matrix(rng, n, radicand)):
+            for cap in stop_points(
+                    lambda: reference_morphism(f, a, b, UNLIMITED), n):
+                assert check_algebra_morphism(f, a, b, cap).as_dict() == \
+                    reference_morphism(f, a, b, cap).as_dict()
+
+
+@pytest.mark.parametrize("radicand", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_yau_twist_matches_quadscalar_reference(n, radicand):
+    rng = random.Random(f"yau-probe-{n}-{radicand}")
+    for a in _intertwining_structures(rng, n, radicand):
+        c = classical(n, a.mu, radicand)
+        for rho in (a.alpha1, sixths_matrix(rng, n, radicand),
+                    mat_identity(n)):
+            probe = reference_intertwining(
+                LawReport("endomorphism", "endo"), rho, c.mu_basis, c.mu_vec,
+                (rho,) * 3, 1)
+            if probe.violations:
+                with pytest.raises(NotEndomorphism) as err:
+                    c.yau_twist(rho)
+                assert err.value.triple == probe.violations[0].index
+            else:
+                assert c.yau_twist(rho).mu == drop_zeros(
+                    {key: mat_apply(rho, vec) for key, vec in c.mu.items()})
 
 
 # -- truncation across packed rows -----------------------------------------

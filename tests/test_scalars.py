@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ternalg.linalg import mat_columns
 from ternalg.scalars import (
     ONE,
     ZERO,
@@ -11,7 +13,10 @@ from ternalg.scalars import (
     RadicandMismatch,
     ScalarParseError,
     format_scalar,
+    lift,
+    lift_columns,
     parse_scalar,
+    unlift,
 )
 
 
@@ -269,3 +274,53 @@ def test_kernel_matches_fraction_model(x, y):
                 op(a, b)
         else:
             agrees(op(a, b), expected)
+
+
+# -- lifting tables of scalars to int pairs --------------------------------
+
+
+def _table_scalar(rng, radicand):
+    x = QuadScalar(Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 6])))
+    if rng.random() < 0.4:
+        x = x + QuadScalar(0, Fraction(rng.randint(-3, 3),
+                                       rng.choice([1, 2, 5])), radicand)
+    return x
+
+
+def test_lift_scales_each_table_to_its_own_lcm():
+    uniform = {(0, 0, 0): {0: QuadScalar("-5/3"), 1: QuadScalar("10/3")}}
+    # an integer entry before a fraction still gets scaled
+    mixed = [{0: QuadScalar(2), 1: QuadScalar("1/3")},
+             {0: QuadScalar("1/2", "1/3", 5)}]
+    assert lift(uniform, mixed, {}) == [
+        5, (3, {(0, 0, 0): {0: (-5, 0), 1: (10, 0)}}),
+        (6, {0: {0: (12, 0), 1: (2, 0)}, 1: {0: (3, 2)}}), (1, {})]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lift_round_trips_through_unlift(seed):
+    rng = random.Random(seed)
+    radicand = rng.choice([2, 5])
+    tables = [{key: {i: _table_scalar(rng, radicand)
+                     for i in range(rng.randrange(4))}
+               for key in range(rng.randrange(4))},
+              [{i: _table_scalar(rng, radicand) for i in range(3)
+                if rng.random() < 0.6} for _ in range(3)]]
+    d, *lifted = lift(*tables)
+    assert d in (1, radicand)
+    for table, (den, pairs) in zip(tables, lifted):
+        vecs = table.values() if isinstance(table, dict) else table
+        assert den == lcm(1, *(x.q for vec in vecs for x in vec.values()))
+        keyed = table.items() if isinstance(table, dict) else enumerate(table)
+        for key, vec in keyed:
+            assert {i: unlift(a, b, den, d)
+                    for i, (a, b) in pairs[key].items()} == vec
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lift_columns_is_lift_of_the_columns(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(4)
+    m = [[_table_scalar(rng, 2) if rng.random() < 0.6 else ZERO
+          for _ in range(n)] for _ in range(n)]
+    assert lift_columns(m) == lift(mat_columns(m))

@@ -13,8 +13,8 @@ from ternalg.linalg import (
     mat_mul,
     trilinear,
 )
-from ternalg.report import check_identities, compile_identity
-from ternalg.scalars import QuadScalar
+from ternalg.report import LawReport, Report, check_identities, compile_identity
+from ternalg.scalars import ONE, QuadScalar
 from ternalg.trimodule import (
     BRAIDING,
     TRIMODULE,
@@ -22,6 +22,8 @@ from ternalg.trimodule import (
     NotMultiplicative,
     TrimoduleActions,
     check_trimodule,
+    intertwining_laws,
+    module_vec_str,
     regular_actions,
     semidirect_product,
 )
@@ -30,11 +32,17 @@ from test_algebra import (
     DENSE,
     NILP,
     RHO1,
+    UNLIMITED,
+    _algebra,
     _change_of_basis,
     _transport,
     _verdicts,
     mat,
     mu_from,
+    reference_intertwining,
+    sixths_matrix,
+    sixths_tensor,
+    stop_points,
 )
 
 
@@ -261,3 +269,51 @@ def test_change_of_basis_keeps_every_verdict(radicand):
             assert _verdicts(check_trimodule(*moved, mode, level, 1)) == before
             seen.update(passed for _, passed in before)
     assert seen == {True, False}
+
+
+# -- fraction-free intertwining laws against QuadScalar evaluation ---------
+
+
+def reference_intertwining_laws(alg, mod, act, laws, cap):
+    """intertwining_laws on reference_intertwining, each action called
+    through its operator: L stored as (a, b, v), M as (a, v, b) and R as
+    (v, a, b), while the index runs over (a, b, v)."""
+    pairs = product((act.op_L, act.op_M, act.op_R), (mod.beta1, mod.beta2))
+    for lr, (op, gamma) in zip(laws, pairs):
+        reference_intertwining(
+            lr, gamma, lambda a, b, v: op({a: ONE}, {b: ONE}, {v: ONE}), op,
+            (alg.alpha1, alg.alpha2, gamma), cap, module_vec_str)
+
+
+def run_intertwining_laws(check, alg, mod, act, cap):
+    laws = [LawReport(f"tr{num}.{which}", f"tr{num}")
+            for num in ("7", "8", "9") for which in ("beta1", "beta2")]
+    check(alg, mod, act, laws, cap)
+    return Report(laws)
+
+
+@pytest.mark.parametrize("radicand", [1, 2, 5])
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_intertwining_laws_match_quadscalar_reference(n, m, radicand):
+    rng = random.Random(f"action-{n}-{m}-{radicand}")
+    twisted = _algebra(rng, n, radicand, "twisted")
+    setups = [(twisted, *regular_actions(twisted))] if n == m else []
+    for _ in range(2):
+        alg = TernaryHomAlgebra(n, {}, sixths_matrix(rng, n, radicand),
+                                sixths_matrix(rng, n, radicand), radicand)
+        mod = BihomModule(m, sixths_matrix(rng, m, radicand),
+                          sixths_matrix(rng, m, radicand))
+        L = sixths_tensor(rng, (n, n, m), m, radicand)
+        M = sixths_tensor(rng, (n, m, n), m, radicand)
+        R = sixths_tensor(rng, (m, n, n), m, radicand)
+        # each order alone, then all three
+        setups += [(alg, mod, act) for act in (
+            TrimoduleActions(L=L), TrimoduleActions(M=M),
+            TrimoduleActions(R=R), TrimoduleActions(L, R, M))]
+    for alg, mod, act in setups:
+        for cap in stop_points(lambda: run_intertwining_laws(
+                reference_intertwining_laws, alg, mod, act, UNLIMITED), 2):
+            assert run_intertwining_laws(
+                intertwining_laws, alg, mod, act, cap).as_dict() == \
+                run_intertwining_laws(reference_intertwining_laws, alg, mod,
+                                      act, cap).as_dict()
