@@ -30,6 +30,7 @@ from .linalg import (
     pair_add_scaled,
     pair_add_shifted,
     pair_dot,
+    pair_first_two,
     pair_nonzero,
     pair_pack,
     pair_trilinear,
@@ -53,7 +54,6 @@ from .scalars import (
     RadicandMismatch,
     join_radicands,
     lift,
-    lift_columns,
     unlift,
 )
 
@@ -133,11 +133,11 @@ class TernaryHomAlgebra:
 
     def check_multiplicativity(self, max_violations: int = DEFAULT_MAX_VIOLATIONS
                                ) -> Report:
-        laws = (("multiplicative:alpha1", "mult1", self.alpha1),
-                ("multiplicative:alpha2", "mult2", self.alpha2))
+        laws = (("multiplicative:alpha1", "mult1", self._alpha1_cols),
+                ("multiplicative:alpha2", "mult2", self._alpha2_cols))
         return Report(list(intertwining(
-            [(LawReport(name, tag), mat, self.mu, self.mu, (mat,) * 3)
-             for name, tag, mat in laws], max_violations)))
+            [(LawReport(name, tag), cols, self.mu, self.mu, (cols,) * 3)
+             for name, tag, cols in laws], max_violations)))
 
     def multiplication_operators(self, x: SparseVec, y: SparseVec
                                  ) -> tuple[Matrix, Matrix, Matrix]:
@@ -165,12 +165,12 @@ class TernaryHomAlgebra:
         if self.radicand not in (1, radicand):
             raise RadicandMismatch(
                 f"sqrt({self.radicand}) vs sqrt({radicand})")
+        cols = mat_columns(rho)
         probe = next(intertwining(
-            [(LawReport("endomorphism", "endo"), rho, self.mu, self.mu,
-              (rho,) * 3)], 1))
+            [(LawReport("endomorphism", "endo"), cols, self.mu, self.mu,
+              (cols,) * 3)], 1))
         if probe.violations:
             raise NotEndomorphism(probe.violations[0].index)
-        cols = mat_columns(rho)
         mu_new: MuTensor = {}
         for key, vec in self.mu.items():
             out = mu_new[key] = {}
@@ -258,27 +258,26 @@ def intertwining(laws, cap: int, basis: str = "e") -> Iterator[LawReport]:
     ``lr``; the next law is taken only when the generator is resumed.
 
     ``src`` and ``dst`` are tensors of arity 3, keyed in the order the
-    index runs, or lists of columns, of arity 1; index k runs over the
-    basis that the matrix f_k = ``maps[k]`` acts on, and ``g`` is a matrix.
-    Each distinct table and matrix is lifted once per call.  The side g src
-    carries the denominators D_g D_src and dst(f1 ., ...) carries
-    D_dst D_f1 ..., so each side is scaled by the other's before the two are
-    compared, and a residual becomes scalars only when it is recorded.  dst
-    with its first two slots filled by f1 e_i and f2 e_j is kept per (i, j)
-    from first use.
+    index runs, or lists of columns, of arity 1; ``g`` and the maps f_k are
+    matrices given by their columns (``mat_columns``), and index k runs
+    over the basis that f_k = ``maps[k]`` acts on.  Each distinct table is
+    lifted once per call.  The side g src carries the denominators
+    D_g D_src and dst(f1 ., ...) carries D_dst D_f1 ..., so each side is
+    scaled by the other's before the two are compared, and a residual
+    becomes scalars only when it is recorded.  dst with its first two slots
+    filled by f1 e_i and f2 e_j is kept per (i, j) from first use.
     """
     seen = {}  # id -> the object, kept so that the id stays its own, and
     # its lift
 
-    def lifted(obj, matrix=False):
+    def lifted(obj):
         hit = seen.get(id(obj))
         if hit is None:
-            hit = seen[id(obj)] = obj, (lift_columns if matrix else lift)(obj)
+            hit = seen[id(obj)] = obj, lift(obj)
         return hit[1]
 
     for lr, g, src, dst, maps in laws:
-        parts = [lifted(g, True), lifted(src), lifted(dst),
-                 *[lifted(f, True) for f in maps]]
+        parts = [lifted(table) for table in (g, src, dst, *maps)]
         d = reduce(join_radicands, {rad for rad, _ in parts})
         (dg, g_cols), (ds, s), (dt, t), *fs = [table for _, table in parts]
         left, right = dt, dg * ds
@@ -298,12 +297,12 @@ def intertwining(laws, cap: int, basis: str = "e") -> Iterator[LawReport]:
                 head = idx[:2]
                 part = inner.get(head)
                 if part is None:
-                    part = inner[head] = _two_slots(
+                    part = inner[head] = pair_first_two(
                         t, first[0][idx[0]], first[1][idx[1]], len(last), d)
             else:
                 part = t
             for u, (a, b) in last[k].items():
-                vec = part.get(u)
+                vec = part[u]
                 if vec:
                     pair_add_scaled(out, vec, -a * right, -b * right, d)
             return pair_nonzero(out)
@@ -317,32 +316,18 @@ def intertwining(laws, cap: int, basis: str = "e") -> Iterator[LawReport]:
         yield lr
 
 
-def _two_slots(t: dict, x: dict, y: dict, n: int, d: int) -> dict:
-    """{u: t(x, y, e_u)} for u < n, a lifted tensor ``t`` of arity 3 with
-    its first two slots filled by lifted vectors."""
-    out = {}
-    for r, (xa, xb) in x.items():
-        for s, (ya, yb) in y.items():
-            ca, cb = xa * ya + d * xb * yb, xa * yb + xb * ya
-            for u in range(n):
-                vec = t.get((r, s, u))
-                if vec:
-                    pair_add_scaled(out.setdefault(u, {}), vec, ca, cb, d)
-    return out
-
-
-def twist_intertwining(f: Matrix, a, b, kind: str, tag: str) -> list:
+def twist_intertwining(f_cols: list, a, b, kind: str, tag: str) -> list:
     """The laws f a.alpha_k = b.alpha_k f, for k = 1, 2, as ``intertwining``
-    takes them, checked column by column.
+    takes them, checked column by column; ``f_cols`` are the columns of f.
 
     ``a`` and ``b`` are algebras or coalgebras; the laws are named
     ``{kind}:twist1`` and ``{kind}:twist2`` and tagged ``{tag}2``,
     ``{tag}3``.
     """
-    return [(LawReport(f"{kind}:twist{k}", f"{tag}{k + 1}"), f,
-             mat_columns(am), mat_columns(bm), (f,))
-            for k, am, bm in ((1, a.alpha1, b.alpha1),
-                              (2, a.alpha2, b.alpha2))]
+    return [(LawReport(f"{kind}:twist{k}", f"{tag}{k + 1}"), f_cols, acols,
+             bcols, (f_cols,))
+            for k, acols, bcols in ((1, a._alpha1_cols, b._alpha1_cols),
+                                    (2, a._alpha2_cols, b._alpha2_cols))]
 
 
 def morphism_laws(f: Matrix, a: TernaryHomAlgebra, b: TernaryHomAlgebra,
@@ -350,10 +335,12 @@ def morphism_laws(f: Matrix, a: TernaryHomAlgebra, b: TernaryHomAlgebra,
     """The laws of an algebra morphism, each checked when it is reached."""
     if not a.dim == b.dim == len(f):
         raise ValueError("dimension mismatch")
+    f_cols = mat_columns(f)
 
     def laws():
-        yield LawReport("morphism:product", "mor1"), f, a.mu, b.mu, (f,) * 3
-        yield from twist_intertwining(f, a, b, "morphism", "mor")
+        yield (LawReport("morphism:product", "mor1"), f_cols, a.mu, b.mu,
+               (f_cols,) * 3)
+        yield from twist_intertwining(f_cols, a, b, "morphism", "mor")
 
     return intertwining(laws(), cap)
 

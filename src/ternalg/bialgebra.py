@@ -24,14 +24,12 @@ from .coalgebra import (
 )
 from .duality import dualize_algebra, dualize_coalgebra
 from .linalg import (
-    PAIR_ONE,
     PAIR_ZERO,
     Matrix,
-    mat_columns,
     mat_invertible,
     pair_add_scaled,
+    pair_first_two,
     pair_nonzero,
-    pair_trilinear,
     vec_add_at,
 )
 from .report import (
@@ -94,16 +92,19 @@ def check_compatibility(bi: TernaryBialgebra,
     Both sides run on int pairs, each table lifted once.
     Delta(mu(e_i, e_j, e_k)) carries the denominators D_mu D_Delta and each
     operator term D_mu D_Delta (D_a1 D_a2)^2, so the left side is scaled by
-    (D_a1 D_a2)^2.  An operator's columns are built once per pair of slots
-    it reads, and only where the coproduct slot it acts on is nonempty.
+    (D_a1 D_a2)^2.  An operator's columns are built once per pair of
+    arguments, and only where the coproduct slot it acts on is nonempty.
     """
-    n = bi.dim
+    n, alg = bi.dim, bi.alg
     d, (dm, mu), (dd, delta), (d1, a1), (d2, a2) = lift(
-        bi.alg.mu, bi.coalg.delta, mat_columns(bi.alpha1),
-        mat_columns(bi.alpha2))
+        alg.mu, bi.coalg.delta, alg._alpha1_cols, alg._alpha2_cols)
     left = (d1 * d2) ** 2
     scale = dm * dd * left
-    built = {}  # operator columns by (slot of e_z, index read by a1, by a2)
+    # L, M and R as tensors keyed (x, y, z) for z -> op(x, y, z), with
+    # their columns by (operator, x, y) from first use
+    ops = (mu, {(r, s, z): vec for (r, z, s), vec in mu.items()},
+           {(r, s, z): vec for (z, r, s), vec in mu.items()})
+    built = {}
 
     def members(key):
         i, j, k = key
@@ -111,17 +112,17 @@ def check_compatibility(bi: TernaryBialgebra,
         for l, (a, b) in mu.get(key, {}).items():
             if l in delta:
                 pair_add_scaled(out, delta[l], a * left, b * left, d)
-        # z -> mu(a1 e_i, a2 e_j, z) on Delta(e_k) in the first tensor
-        # slot, z -> mu(a1 e_i, z, a2 e_k) on Delta(e_j) in the middle one
-        # and z -> mu(z, a1 e_j, a2 e_k) on Delta(e_i) in the last one
-        for slot, p, q, r in ((2, i, j, k), (1, i, k, j), (0, j, k, i)):
+        # L(a1 e_i, a2 e_j) on Delta(e_k) in the first tensor slot,
+        # M(a1 e_i, a2 e_k) on Delta(e_j) in the middle one and
+        # R(a1 e_j, a2 e_k) on Delta(e_i) in the last one
+        for op, p, q, r in ((0, i, j, k), (1, i, k, j), (2, j, k, i)):
             if r in delta:
-                cols = built.get((slot, p, q))
+                cols = built.get((op, p, q))
                 if cols is None:
-                    cols = built[slot, p, q] = _operator_columns(
-                        mu, a1[p], a2[q], slot, n, d)
+                    cols = built[op, p, q] = pair_first_two(
+                        ops[op], a1[p], a2[q], n, d)
                 maps = [a1, a2]
-                maps.insert(2 - slot, cols)
+                maps.insert(op, cols)
                 _subtract_applied(out, *maps, delta[r], d)
         return pair_nonzero(out)
 
@@ -132,18 +133,6 @@ def check_compatibility(bi: TernaryBialgebra,
                                     for key, (a, b) in res.items()}),
                max_violations)
     return Report([lr])
-
-
-def _operator_columns(mu: dict, x: dict, y: dict, slot: int, n: int,
-                      d: int) -> list:
-    """The columns of z -> mu with z in ``slot`` and x, y in the other two
-    slots in order, all lifted."""
-    cols = []
-    for z in range(n):
-        args = [x, y]
-        args.insert(slot, {z: PAIR_ONE})
-        cols.append(pair_trilinear(mu, *args, d))
-    return cols
 
 
 def _subtract_applied(out: dict, cols1, cols2, cols3, t: dict,

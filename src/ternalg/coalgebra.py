@@ -214,7 +214,8 @@ def comorphism_laws(f: Matrix, c1: TernaryHomCoalgebra,
     _comorphism_defects(c1, f, c2, lr, cap)
     yield lr
     yield from intertwining(
-        twist_intertwining(f, c1, c2, "comorphism", "comor"), cap)
+        twist_intertwining(mat_columns(f), c1, c2, "comorphism", "comor"),
+        cap)
 
 
 def check_coalgebra_morphism(f: Matrix, c1: TernaryHomCoalgebra,

@@ -118,6 +118,20 @@ def pair_trilinear(tensor: dict, x: dict, y: dict, z: dict, d: int) -> dict:
     return pair_nonzero(out)
 
 
+def pair_first_two(tensor: dict, x: dict, y: dict, n: int, d: int) -> list:
+    """[trilinear(tensor, x, y, e_u) for u < n], on sparse vectors of int
+    pairs over Q(sqrt(d))."""
+    out = [{} for _ in range(n)]
+    for r, (xa, xb) in x.items():
+        for s, (ya, yb) in y.items():
+            ca, cb = xa * ya + d * xb * yb, xa * yb + xb * ya
+            for u in range(n):
+                vec = tensor.get((r, s, u))
+                if vec:
+                    pair_add_scaled(out[u], vec, ca, cb, d)
+    return out
+
+
 def pair_nonzero(vec: dict) -> dict:
     """``vec`` without its zero pairs; ``vec`` itself when it has none."""
     if PAIR_ZERO in vec.values():

@@ -57,8 +57,8 @@ def square_free(k: int) -> tuple[int, int]:
 
 
 def join_radicands(d1: int, d2: int) -> int:
-    """The common radicand of two, equal or one of them 1."""
-    if d1 == 1 or d1 == d2:
+    """The common radicand of two different ones, one of them 1."""
+    if d1 == 1:
         return d2
     if d2 == 1:
         return d1
@@ -220,53 +220,24 @@ def lift(*tables) -> list:
     out = []
     for table in tables:
         keyed = table.items() if isinstance(table, dict) else enumerate(table)
-        den = None  # the q of the first entry, then the lcm
-        mixed = False  # some entry's q is not den: it needs scaling
+        den = 1
         lifted = {}
         for key, vec in keyed:
             pairs = lifted[key] = {}
             for i, x in vec.items():
                 if x._d != d:
                     d = join_radicands(d, x._d)
-                q = x._q
-                if q != den:
-                    if den is None:
-                        den = q
-                    else:
-                        mixed = True
-                        if den % q:
-                            den = lcm(den, q)
+                if den % x._q:
+                    den = lcm(den, x._q)
                 pairs[i] = (x._a, x._b)
-        if mixed:
+        if den != 1:
             for key, pairs in lifted.items():
                 vec = table[key]
                 for i, (a, b) in pairs.items():
                     m = den // vec[i]._q
                     pairs[i] = (a * m, b * m)
-        out.append((den or 1, lifted))
+        out.append((den, lifted))
     return [d, *out]
-
-
-def lift_columns(matrix: list) -> list:
-    """``lift`` of the columns of a square matrix given by its rows, so
-    that ``matrix[i][j]`` is entry i of column j; zero entries are left
-    out."""
-    d = den = 1
-    for row in matrix:
-        for x in row:
-            if x._d != d:
-                d = join_radicands(d, x._d)
-            if den % x._q:
-                den = lcm(den, x._q)
-    cols = {}
-    for j in range(len(matrix)):
-        col = cols[j] = {}
-        for i, row in enumerate(matrix):
-            x = row[j]
-            if x._a or x._b:
-                m = den // x._q
-                col[i] = (x._a * m, x._b * m)
-    return [d, (den, cols)]
 
 
 def unlift(a: int, b: int, den: int, d: int) -> QuadScalar:

@@ -158,8 +158,9 @@ def intertwining_laws(alg: TernaryHomAlgebra, mod: BihomModule,
     # each action keyed in the order its index runs, (a, b, v)
     ops = (act.L, {(a, b, v): vec for (a, v, b), vec in act.M.items()},
            {(a, b, v): vec for (v, a, b), vec in act.R.items()})
-    pairs = product(ops, (mod.beta1, mod.beta2))
-    for _ in intertwining(((lr, gamma, op, op, (alg.alpha1, alg.alpha2, gamma))
+    twists = alg._alpha1_cols, alg._alpha2_cols
+    pairs = product(ops, (mat_columns(mod.beta1), mat_columns(mod.beta2)))
+    for _ in intertwining(((lr, gamma, op, op, (*twists, gamma))
                            for lr, (op, gamma) in zip(laws, pairs)),
                           cap, "f"):
         pass

@@ -109,17 +109,25 @@ def test_truncated_only_when_violations_may_remain():
 def test_operator_columns_only_for_a_nonempty_slot(monkeypatch):
     # only Delta(e_1) of pb2 is nonzero; each operator's columns feed one
     # coproduct slot, k for L, j for M and i for R, and are built once per
-    # pair of the other two indices
-    calls = []
-    columns = bialgebra_mod._operator_columns
+    # pair of the other two indices; L, M and R each read their own tensor
+    tensors = []
+    first_two = bialgebra_mod.pair_first_two
 
-    def spy(mu, x, y, slot, n, d):
-        calls.append("RML"[slot])
-        return columns(mu, x, y, slot, n, d)
+    def spy(tensor, x, y, n, d):
+        tensors.append(tensor)
+        return first_two(tensor, x, y, n, d)
 
-    monkeypatch.setattr(bialgebra_mod, "_operator_columns", spy)
+    monkeypatch.setattr(bialgebra_mod, "pair_first_two", spy)
     assert check_compatibility(pb2()).passed
-    assert sorted(calls) == ["L"] * 4 + ["M"] * 4 + ["R"] * 4
+    counts = {}
+    for tensor in tensors:
+        counts[id(tensor)] = counts.get(id(tensor), 0) + 1
+    assert sorted(counts.values()) == [4, 4, 4]
+    # with no coproduct at all, no operator's columns are built
+    tensors.clear()
+    bi = bialgebra(2, mu_from(NILP), {}, mat(RHO_NILP), mat(RHO_NILP))
+    assert check_compatibility(bi).passed
+    assert tensors == []
 
 
 # -- fraction-free compatibility against QuadScalar evaluation -------------

@@ -5,7 +5,6 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ternalg.linalg import mat_columns
 from ternalg.scalars import (
     ONE,
     ZERO,
@@ -14,7 +13,6 @@ from ternalg.scalars import (
     ScalarParseError,
     format_scalar,
     lift,
-    lift_columns,
     parse_scalar,
     unlift,
 )
@@ -315,12 +313,3 @@ def test_lift_round_trips_through_unlift(seed):
         for key, vec in keyed:
             assert {i: unlift(a, b, den, d)
                     for i, (a, b) in pairs[key].items()} == vec
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_lift_columns_is_lift_of_the_columns(seed):
-    rng = random.Random(seed)
-    n = rng.randrange(4)
-    m = [[_table_scalar(rng, 2) if rng.random() < 0.6 else ZERO
-          for _ in range(n)] for _ in range(n)]
-    assert lift_columns(m) == lift(mat_columns(m))
