@@ -219,23 +219,21 @@ def lift(*tables) -> list:
     d = 1
     out = []
     for table in tables:
-        keyed = table.items() if isinstance(table, dict) else enumerate(table)
+        vecs = table.values() if isinstance(table, dict) else table
         den = 1
-        lifted = {}
-        for key, vec in keyed:
-            pairs = lifted[key] = {}
-            for i, x in vec.items():
+        for vec in vecs:
+            for x in vec.values():
                 if x._d != d:
                     d = join_radicands(d, x._d)
                 if den % x._q:
                     den = lcm(den, x._q)
-                pairs[i] = (x._a, x._b)
-        if den != 1:
-            for key, pairs in lifted.items():
-                vec = table[key]
-                for i, (a, b) in pairs.items():
-                    m = den // vec[i]._q
-                    pairs[i] = (a * m, b * m)
+        keyed = table.items() if isinstance(table, dict) else enumerate(table)
+        lifted = {}
+        for key, vec in keyed:
+            pairs = lifted[key] = {}
+            for i, x in vec.items():
+                m = den // x._q
+                pairs[i] = (x._a * m, x._b * m)
         out.append((den, lifted))
     return [d, *out]
 
