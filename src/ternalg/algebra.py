@@ -21,7 +21,6 @@ from .linalg import (
     Matrix,
     SparseVec,
     drop_zeros,
-    mat_apply,
     mat_columns,
     mat_identity,
     mat_invertible,
@@ -100,12 +99,6 @@ class TernaryHomAlgebra:
 
     def op_M(self, x: SparseVec, y: SparseVec, z: SparseVec) -> SparseVec:
         return self.mu_vec(x, z, y)
-
-    def apply_alpha1(self, v: SparseVec) -> SparseVec:
-        return mat_apply(self.alpha1, v)
-
-    def apply_alpha2(self, v: SparseVec) -> SparseVec:
-        return mat_apply(self.alpha2, v)
 
     def is_classical(self) -> bool:
         return mat_is_identity(self.alpha1) and mat_is_identity(self.alpha2)

@@ -161,17 +161,13 @@ def check_compatibility_sigma_form(bi: TernaryBialgebra,
     alg, co = bi.alg, bi.coalg
     n = bi.dim
     basis = [{i: ONE} for i in range(n)]
-    a1 = alg.apply_alpha1
-    a2 = alg.apply_alpha2
-    a1c = [alg.apply_alpha1(b) for b in basis]
-    a2c = [alg.apply_alpha2(b) for b in basis]
+    a1c, a2c = alg._alpha1_cols, alg._alpha2_cols
 
     def members(key):
         i, j, k = key
         lhs = co.delta_vec(alg.mu_basis(i, j, k))
         rhs: Tensor3 = {}
-        xa, xb, xc = a1(basis[i]), a2(basis[j]), a2(basis[k])
-        xb1 = a1(basis[j])
+        xa, xb, xc, xb1 = a1c[i], a2c[j], a2c[k], a1c[j]
 
         # (mu x a1 x a2)(a1 x a2 x Delta)
         for (r, s, t), cf in co.delta_basis(k).items():
@@ -182,7 +178,7 @@ def check_compatibility_sigma_form(bi: TernaryBialgebra,
                         vec_add_at(rhs, (l, u, v), cf * hv * uv * vv)
         # (a1 x mu x a2)(sigma x id x sigma)(a1 x Delta x a2)
         five = {}
-        for p, pv in a1(basis[i]).items():
+        for p, pv in xa.items():
             for (r, s, t), cf in co.delta_basis(j).items():
                 for q, qv in xc.items():
                     # slots after the swaps: (b1, a1 a, b2, a2 c, b3)
@@ -225,10 +221,9 @@ def compatibility_identity_check(bi: TernaryBialgebra,
     def a(r, s, t, l):
         return co.delta.get(l, {}).get((r, s, t), ZERO)
 
-    y1 = lambda src, dst: alg.alpha1[dst][src]
-    y2 = lambda src, dst: alg.alpha2[dst][src]
+    alpha1, alpha2 = alg.alpha1, alg.alpha2
     csum = {key: sum(out.values(), ZERO) for key, out in alg.mu.items()}
-    y1sum = [sum((alg.alpha1[l][r] for l in range(n)), ZERO) for r in range(n)]
+    y1sum = [sum((alpha1[l][r] for l in range(n)), ZERO) for r in range(n)]
 
     rng = range(n)
 
@@ -246,13 +241,13 @@ def compatibility_identity_check(bi: TernaryBialgebra,
         total = -last
         if a_k:
             total = total + a_k * csum.get((p, q, r), ZERO) * \
-                y1(i, p) * y2(j, q) * y1(s, u) * y2(t, v)
+                alpha1[p][i] * alpha2[q][j] * alpha1[u][s] * alpha2[v][t]
         if a_j:
             total = total + a_j * c(u, p, s, q) * \
-                y1(i, p) * y2(k, q) * y1sum[r] * y2(t, v)
+                alpha1[p][i] * alpha2[q][k] * y1sum[r] * alpha2[v][t]
         if a_i:
             total = total + a_i * c(v, t, p, q) * \
-                y1(j, p) * y2(k, q) * y1sum[r] * y2(s, u)
+                alpha1[p][j] * alpha2[q][k] * y1sum[r] * alpha2[u][s]
         return total
 
     # a head whose four terms all vanish has only zero residuals

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import TernaryHomAlgebra
-from .linalg import mat_columns
 from .report import (
     DEFAULT_MAX_VIOLATIONS,
     VECTOR,
@@ -116,8 +115,8 @@ def check_matched_pair(mp: MatchedPairData, mode: str = "total",
     ea = [{i: ONE} for i in range(mp.A.dim)]
     eb = [{i: ONE} for i in range(mp.B.dim)]
     names = dict(dict.fromkeys("xyz", ea), **dict.fromkeys("abc", eb),
-                 A1=mat_columns(mp.A.alpha1), A2=mat_columns(mp.A.alpha2),
-                 B1=mat_columns(mp.B.alpha1), B2=mat_columns(mp.B.alpha2),
+                 A1=mp.A._alpha1_cols, A2=mp.A._alpha2_cols,
+                 B1=mp.B._alpha1_cols, B2=mp.B._alpha2_cols,
                  muA=mp.A.mu_vec, muB=mp.B.mu_vec,
                  LA=mp.actA.op_L, RA=mp.actA.op_R, MA=mp.actA.op_M,
                  LB=mp.actB.op_L, RB=mp.actB.op_R, MB=mp.actB.op_M)

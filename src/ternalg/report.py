@@ -236,17 +236,12 @@ def _packed_tuples(rows, laws: list, found: dict, w: int, key):
     mask, half = (1 << w) - 1, 1 << w - 1
     owed = False  # a row failed: the next tuple must reach check_laws
     for row, members, space in rows:
-        failing = []  # the packed residuals of the laws still open
-        if members is not None:
-            for lr, law in laws:
-                if not lr.truncated:
-                    failing += law(members) or ()
-        elif not owed:
-            continue
+        # the packed residuals of the laws still open, and their ints
+        residuals = [None if members is None or lr.truncated
+                     else law(members) for lr, law in laws]
+        failing = [x for res in residuals if res for x in res]
         last = -1  # the slot of the last tuple yielded
         if failing:
-            residuals = [None if lr.truncated else law(members)
-                         for lr, law in laws]
             slot = next_slot(failing, -1, w)
             while slot is not None:
                 # each slot is below 2^(w-1) either way, so the slots

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 BACKEND = "int"
@@ -40,10 +41,13 @@ class ScalarParseError(ValueError):
 MAX_RADICAND = 10 ** 9  # keeps the trial division below cheap
 
 
+@lru_cache(maxsize=1024)
 def square_free(k: int) -> tuple[int, int]:
     """(root, rest) with k = root**2 * rest and rest square-free.
 
-    Raises ScalarParseError unless 1 <= k <= MAX_RADICAND.
+    Raises ScalarParseError unless 1 <= k <= MAX_RADICAND.  The trial
+    division runs to sqrt(k), so each radicand's result is kept: literals
+    that differ only in their coefficients divide once.
     """
     if not 1 <= k <= MAX_RADICAND:
         raise ScalarParseError(f"radicand {k} is not in 1..{MAX_RADICAND}")

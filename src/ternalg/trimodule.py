@@ -104,7 +104,7 @@ def _names(alg: TernaryHomAlgebra, mod: BihomModule,
     ea = [{i: ONE} for i in range(alg.dim)]
     return dict(dict.fromkeys("abcdxyz", ea),
                 v=[{i: ONE} for i in range(mod.dim)],
-                a1=mat_columns(alg.alpha1), a2=mat_columns(alg.alpha2),
+                a1=alg._alpha1_cols, a2=alg._alpha2_cols,
                 b1=mat_columns(mod.beta1), b2=mat_columns(mod.beta2),
                 mu=alg.mu_vec, L=act.op_L, R=act.op_R, M=act.op_M)
 

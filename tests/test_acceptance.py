@@ -24,7 +24,7 @@ from ternalg import (
     semidirect_product,
     sign_variant,
 )
-from ternalg.linalg import mat_invertible
+from ternalg.linalg import mat_columns, mat_invertible
 from ternalg.matched_pair import bicrossed_product
 from ternalg.scalars import ONE, ZERO, QuadScalar, parse_scalar
 from ternalg.trimodule import BihomModule, TrimoduleActions
@@ -265,8 +265,7 @@ def _compat_residual(alg, delta):
     """
     n = alg.dim
     e = [{m: ONE} for m in range(n)]
-    a1 = [alg.apply_alpha1(b) for b in e]
-    a2 = [alg.apply_alpha2(b) for b in e]
+    a1, a2 = mat_columns(alg.alpha1), mat_columns(alg.alpha2)
     res = {}
 
     def add(ijk, tensor, coeff):

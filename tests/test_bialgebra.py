@@ -244,12 +244,29 @@ def random_bialgebra(rng, dim=2):
     return bialgebra(dim, mu, delta, tw, tw)
 
 
+def _violations(report):
+    lr, = report.laws
+    return lr.violations, lr.truncated
+
+
 def test_sigma_form_agrees_on_random():
-    rng = random.Random(31)
-    for _ in range(60):
-        b = random_bialgebra(rng)
-        assert check_compatibility(b, max_violations=1).passed == \
-            check_compatibility_sigma_form(b, max_violations=1).passed
+    # the sigma form records exactly the violations of the element form,
+    # index and residual, and truncates exactly where it does: on products,
+    # coproducts and two different twists over the denominators 2 and 3,
+    # and on sparse +-1 ones with one twist
+    for n, radicand in product((1, 2, 3), (1, 2, 5)):
+        rng = random.Random(f"sigma-{n}-{radicand}")
+        corpus = [bi for _ in range(4)
+                  for bi in sixths_bialgebras(rng, n, radicand)]
+        corpus += [random_bialgebra(rng, n) for _ in range(20)]
+        seen = set()
+        for bi, cap in product(corpus, (1, 2, 3, UNLIMITED)):
+            element = _violations(check_compatibility(bi, cap))
+            assert _violations(check_compatibility_sigma_form(bi, cap)) \
+                == element, (n, radicand, cap)
+            seen.add((bool(element[0]), element[1]))
+        # one index tuple at n = 1 leaves nothing to truncate
+        assert (True, False) in seen and ((True, True) in seen or n == 1)
 
 
 def test_constants_identity_agreement_measured():

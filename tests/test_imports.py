@@ -1,8 +1,11 @@
-"""No module of ternalg but ``__init__`` imports a name it never uses.
+"""No module of ternalg but ``__init__`` imports a name it never uses, and
+none defines a private name it never reads.
 
 ``__init__`` imports to re-export; every other module imports to use, so
 a name it imports and never reads is dead, most often left behind when the
-code that read it was deleted.
+code that read it was deleted.  A private module-level function, class or
+assignment is the module's own, so it is dead too unless the module reads
+it.
 """
 
 import ast
@@ -11,7 +14,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ternalg"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+FILES = sorted(p.name for p in SRC.glob("*.py"))
+MODULES = [name for name in FILES if name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -27,6 +31,26 @@ def unused_imports(source: str) -> list:
                             if alias.name != "*")
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - read)
+
+
+def unread_private_names(source: str) -> list:
+    """The private names ``source`` binds at module level by a function,
+    class or assignment, and never reads."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            defined.update(name.id for target in targets
+                           for name in ast.walk(target)
+                           if isinstance(name, ast.Name))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(name for name in defined - read
+                  if name.startswith("_") and not name.endswith("__"))
 
 
 def test_the_scan_sees_an_unused_import():
@@ -46,3 +70,25 @@ def test_modules_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_import(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_sees_an_unread_private_name():
+    source = ("from .scalars import ONE as _ONE\n"
+              "__all__ = ['f']\n"
+              "_WIDTH, (_a, b) = 8, (1, 2)\n"
+              "_SEEN: set = set()\n"
+              "_used = _WIDTH\n"
+              "class _Left: pass\n"
+              "def _helper(x):\n"
+              "    _local = x\n"
+              "    return x + _used\n"
+              "def _orphan():\n"
+              "    return _ONE\n"
+              "f = _helper\n")
+    assert unread_private_names(source) == ["_Left", "_SEEN", "_a", "_orphan"]
+
+
+@pytest.mark.parametrize("module", FILES)
+def test_no_unread_private_name(module):
+    assert unread_private_names((SRC / module).read_text(
+        encoding="utf-8")) == []

@@ -14,6 +14,7 @@ from ternalg.scalars import (
     format_scalar,
     lift,
     parse_scalar,
+    square_free,
     unlift,
 )
 
@@ -106,6 +107,18 @@ def test_parse(text, expected):
 def test_parse_rejects(text):
     with pytest.raises(ScalarParseError):
         parse_scalar(text)
+
+
+def test_square_free_divides_once_per_radicand():
+    # 999999937 is prime: its trial division runs to about 31,623
+    square_free.cache_clear()
+    for c in range(1, 1001):
+        assert parse_scalar(f"{c}*sqrt(999999937)").b == c
+    info = square_free.cache_info()
+    assert (info.misses, info.hits) == (1, 999)
+    assert square_free(72) == (6, 2)
+    with pytest.raises(ScalarParseError):
+        square_free(0)
 
 
 def test_parse_radicand_context():
