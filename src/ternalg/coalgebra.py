@@ -90,13 +90,12 @@ class TernaryHomCoalgebra:
 
     def check_comultiplicativity(self, max_violations: int = DEFAULT_MAX_VIOLATIONS
                                  ) -> Report:
-        report = Report()
-        for name, tag, mat in (("comultiplicative:alpha1", "comult1", self.alpha1),
-                               ("comultiplicative:alpha2", "comult2", self.alpha2)):
-            lr = LawReport(name, tag)
-            report.add(lr)
-            _comorphism_defects(self, mat, self, lr, max_violations)
-        return report
+        return Report([
+            _comorphism_defects(LawReport(name, tag), self, cols, self,
+                                max_violations)
+            for name, tag, cols in (
+                ("comultiplicative:alpha1", "comult1", self._alpha1_cols),
+                ("comultiplicative:alpha2", "comult2", self._alpha2_cols))])
 
     # -- index-level identities ------------------------------------------
 
@@ -112,40 +111,25 @@ class TernaryHomCoalgebra:
         pass; the converse fails when terms cancel only across s or t.
         """
         laws = mode_laws("structure", ("q3a", "q3b", "q2", "q4"), mode)
-        n = self.dim
-        a1 = self.alpha1
-        a2 = self.alpha2
+        a1, a2 = self._alpha1_cols, self._alpha2_cols
 
         # accumulate each term sparsely over the nonzero coproduct entries;
-        # every tuple where all three terms vanish satisfies every variant
+        # every tuple where all three terms vanish satisfies every variant.
+        # Term m puts Delta(e_inner) at places m to m+2 of (i, j, k, q, p)
+        # and the twist indices u, v at the other two.
         terms = ({}, {}, {})
 
         for l, tens in self.delta.items():
             for (r, s, t), c_lrst in tens.items():
-                for (i, j, k), inner in self.delta.get(r, {}).items():
-                    for q in range(n):
-                        if not a1[q][s]:
-                            continue
-                        for p in range(n):
-                            if a2[p][t]:
-                                vec_add_at(terms[0], (i, j, k, s, t, l, p, q),
-                                    c_lrst * inner * a1[q][s] * a2[p][t])
-                for (j, k, q), inner in self.delta.get(s, {}).items():
-                    for i in range(n):
-                        if not a1[i][r]:
-                            continue
-                        for p in range(n):
-                            if a2[p][t]:
-                                vec_add_at(terms[1], (i, j, k, s, t, l, p, q),
-                                    c_lrst * inner * a1[i][r] * a2[p][t])
-                for (k, q, p), inner in self.delta.get(t, {}).items():
-                    for i in range(n):
-                        if not a1[i][r]:
-                            continue
-                        for j in range(n):
-                            if a2[j][s]:
-                                vec_add_at(terms[2], (i, j, k, s, t, l, p, q),
-                                    c_lrst * inner * a1[i][r] * a2[j][s])
+                for m, inner, x, y in ((0, r, a1[s], a2[t]),
+                                       (1, s, a1[r], a2[t]),
+                                       (2, t, a1[r], a2[s])):
+                    for key, c_in in self.delta.get(inner, {}).items():
+                        for u, xu in x.items():
+                            for v, yv in y.items():
+                                i, j, k, q, p = (u, v)[:m] + key + (u, v)[m:]
+                                vec_add_at(terms[m], (i, j, k, s, t, l, p, q),
+                                           c_lrst * c_in * xu * yv)
 
         check_laws(laws, mode_residuals(mode, SCALAR),
                    sorted(set().union(*terms)),
@@ -210,12 +194,11 @@ def comorphism_laws(f: Matrix, c1: TernaryHomCoalgebra,
     """The laws of a coalgebra morphism, each checked when it is reached."""
     if not c1.dim == c2.dim == len(f):
         raise ValueError("dimension mismatch")
-    lr = LawReport("comorphism:coproduct", "comor1")
-    _comorphism_defects(c1, f, c2, lr, cap)
-    yield lr
+    cols = mat_columns(f)
+    yield _comorphism_defects(LawReport("comorphism:coproduct", "comor1"),
+                              c1, cols, c2, cap)
     yield from intertwining(
-        twist_intertwining(mat_columns(f), c1, c2, "comorphism", "comor"),
-        cap)
+        twist_intertwining(cols, c1, c2, "comorphism", "comor"), cap)
 
 
 def check_coalgebra_morphism(f: Matrix, c1: TernaryHomCoalgebra,
@@ -250,10 +233,10 @@ def tensor3_apply(cols1: list, cols2: list, cols3: list,
     return out
 
 
-def _comorphism_defects(src: TernaryHomCoalgebra, f: Matrix,
-                        dst: TernaryHomCoalgebra, lr: LawReport, cap: int) -> None:
-    """(f x f x f) Delta_src(e_l) - Delta_dst(f e_l), entry by entry."""
-    cols = mat_columns(f)
+def _comorphism_defects(lr: LawReport, src: TernaryHomCoalgebra, cols: list,
+                        dst: TernaryHomCoalgebra, cap: int) -> LawReport:
+    """(f x f x f) Delta_src(e_l) - Delta_dst(f e_l), entry by entry;
+    ``cols`` are the columns of f."""
 
     @lru_cache(maxsize=1)
     def residual(l):
@@ -263,6 +246,7 @@ def _comorphism_defects(src: TernaryHomCoalgebra, f: Matrix,
     indices = ((l,) + key for l in range(src.dim) for key in sorted(residual(l)))
     check_laws([lr], [itself], indices, lambda idx: residual(idx[0])[idx[1:]],
                str, cap)
+    return lr
 
 
 def classical_coalgebra(dim: int, delta: DeltaTensor,

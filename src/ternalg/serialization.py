@@ -140,9 +140,11 @@ def _load_product(entries, dims, out_dim, read) -> MuTensor:
         _require(isinstance(out, dict), "product 'out' must be an object")
         vec = {}
         for l, text in out.items():
-            if not l.isdecimal():
+            # one spelling per index: ASCII digits, no leading zero
+            if not (l.isascii() and l.isdecimal()
+                    and (l[0] != "0" or l == "0")):
                 raise StructureFileError(
-                    f"product output index {l!r} is not an integer")
+                    f"product output index {l!r} is not a canonical integer")
             coeff = read(text)
             index = _index(int(l), out_dim, "product output")
             if coeff:

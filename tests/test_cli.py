@@ -262,6 +262,11 @@ def test_repeated_calls_share_no_state(capsys):
     dict(_ALGEBRA, product=[{"args": [1, 1, 1], "out": ["1"]}]),
     dict(_ALGEBRA, product=[{"args": [1, 1, 1], "out": {"x": "1"}}]),
     dict(_ALGEBRA, product=[{"args": [1, 1, 1], "out": {"1.0": "1"}}]),
+    # an output index has one spelling: ASCII digits, no leading zero
+    dict(_ALGEBRA, product=[{"args": [1, 1, 1], "out": {"1": "1", "01": "5"}}]),
+    dict(_ALGEBRA, product=[{"args": [1, 1, 1], "out": {"01": "1"}}]),
+    dict(_ALGEBRA, product=[{"args": [1, 1, 1], "out": {"\u0661": "1"}}]),
+    dict(_MODULE, middle=[{"args": [1, 1, 1], "out": {"01": "1"}}]),
     dict(_COALGEBRA, coproduct=["x"]),
     dict(_COALGEBRA, coproduct=[{"arg": 1, "out": [7]}]),
     dict(_COALGEBRA, coproduct=[{"arg": 1, "out": {"into": [1, 1, 1]}}]),
@@ -298,7 +303,9 @@ def test_repeated_calls_share_no_state(capsys):
     dict(_ALGEBRA, product=[{"args": [1, 1, 1], "out": {"1": "sqrt(2)"}}],
          alpha1=[["sqrt(3)"]]),
 ], ids=["product-int", "product-list-of-int", "product-object",
-        "out-list", "out-key-name", "out-key-float", "coproduct-list-of-str",
+        "out-list", "out-key-name", "out-key-float", "out-key-spelled-twice",
+        "out-key-leading-zero", "out-key-arabic-indic",
+        "action-out-key-leading-zero", "coproduct-list-of-str",
         "coproduct-term-int", "coproduct-out-object", "duplicate-into",
         "args-bool", "arg-bool", "dim-bool", "radicand-bool",
         "missing-product", "missing-coproduct", "unknown-key",
@@ -306,12 +313,22 @@ def test_repeated_calls_share_no_state(capsys):
         "repeated-empty-coproduct-entry", "repeated-zero-action-entry",
         "zero-output-out-of-range", "mixed-radicands-undeclared",
         "mixed-radicands-radicand-1"])
-def test_malformed_tensor_rejected(tmp_path, doc):
+def test_malformed_tensor_rejected(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     with pytest.raises(StructureFileError):
         load_file(bad)
     assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key", ["01", "00", "\u0661"])
+def test_noncanonical_output_index_is_named(tmp_path, capsys, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        dict(_ALGEBRA, product=[{"args": [1, 1, 1], "out": {key: "1"}}])))
+    assert main(["check", str(bad)]) == 2
+    assert f"product output index {key!r} " in capsys.readouterr().err
 
 
 _ALGEBRA_TEXT = json.dumps(_ALGEBRA)

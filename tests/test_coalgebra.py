@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -27,6 +28,7 @@ from test_algebra import (
     _algebra,
     _int_algebra,
     _change_of_basis,
+    _fraction,
     _verdicts,
     differential_structures,
     refuse,
@@ -258,6 +260,78 @@ def test_mixed_radicands_are_refused():
     for mode in ("total", "partial", "weak"):
         with pytest.raises(RadicandMismatch):
             c.check_coassociativity(mode)
+
+
+# -- the structure-constant oracle against its three-block form -----------
+
+
+def reference_structure_identity(c, mode, cap):
+    """structure_identity_check as three loop nests, one per term, over
+    the dense twist rows."""
+    laws = mode_laws("structure", ("q3a", "q3b", "q2", "q4"), mode)
+    n, a1, a2 = c.dim, c.alpha1, c.alpha2
+    terms = ({}, {}, {})
+    for l, tens in c.delta.items():
+        for (r, s, t), c_lrst in tens.items():
+            for (i, j, k), inner in c.delta.get(r, {}).items():
+                for q_ in range(n):
+                    if not a1[q_][s]:
+                        continue
+                    for p in range(n):
+                        if a2[p][t]:
+                            vec_add_at(terms[0], (i, j, k, s, t, l, p, q_),
+                                c_lrst * inner * a1[q_][s] * a2[p][t])
+            for (j, k, q_), inner in c.delta.get(s, {}).items():
+                for i in range(n):
+                    if not a1[i][r]:
+                        continue
+                    for p in range(n):
+                        if a2[p][t]:
+                            vec_add_at(terms[1], (i, j, k, s, t, l, p, q_),
+                                c_lrst * inner * a1[i][r] * a2[p][t])
+            for (k, q_, p), inner in c.delta.get(t, {}).items():
+                for i in range(n):
+                    if not a1[i][r]:
+                        continue
+                    for j in range(n):
+                        if a2[j][s]:
+                            vec_add_at(terms[2], (i, j, k, s, t, l, p, q_),
+                                c_lrst * inner * a1[i][r] * a2[j][s])
+    check_laws(laws, mode_residuals(mode, SCALAR), sorted(set().union(*terms)),
+               lambda key: tuple(t.get(key, ZERO) for t in terms), str, cap)
+    return Report(laws)
+
+
+def _twist(rng, n, radicand, family):
+    """The identity, a permutation with nonzero entries, or a dense map."""
+    if family == "identity":
+        return mat_identity(n)
+    if family == "permutation":
+        perm = rng.sample(range(n), n)
+        return [[_fraction(rng, radicand) or q(1) if perm[j] == i else q(0)
+                 for j in range(n)] for i in range(n)]
+    return [[_fraction(rng, radicand) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("radicand", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_structure_identity_matches_its_three_block_form(n, radicand):
+    rng = random.Random(f"structure-{n}-{radicand}")
+    for twists in (("identity", "permutation"), ("permutation", "dense"),
+                   ("dense", "identity"), ("dense", "dense")):
+        # six coproduct constants at most keep every cap quick to try
+        delta = {}
+        for l, *key in rng.sample(list(product(range(n), repeat=4)),
+                                  min(n ** 4, 6)):
+            delta.setdefault(l, {})[tuple(key)] = _fraction(rng, radicand)
+        c = TernaryHomCoalgebra(
+            n, delta, *(_twist(rng, n, radicand, f) for f in twists), radicand)
+        for mode in MODES:
+            full = reference_structure_identity(c, mode, UNLIMITED)
+            most = max(len(lr.violations) for lr in full.laws)
+            for cap in (*range(1, most + 2), UNLIMITED):
+                assert c.structure_identity_check(mode, cap).as_dict() == \
+                    reference_structure_identity(c, mode, cap).as_dict()
 
 
 # -- truncation across packed rows -----------------------------------------
