@@ -271,10 +271,17 @@ def _packed_tuples(rows, laws: list, found: dict, w: int, key):
 @lru_cache(maxsize=None)
 def compile_identity(text: str, slots: str):
     """The slot letters of ``t1 == t2 [== t3]``, in ``slots`` order, and a
-    function of ``(idx, names)`` giving its members, each a slot letter
-    ``s`` (the basis vector ``names[s][idx[k]]``, ``s`` the k-th letter),
-    a map of one, ``f(s)`` (the column ``names[f][idx[k]]``), or a call
-    ``F(t, t, t)`` of ``names[F]``.  Parsed with ``ast`` on first use."""
+    function of ``(idx, names, memo)`` giving its members, each a slot
+    letter ``s`` (the basis vector ``names[s][idx[k]]``, ``s`` the k-th
+    letter), a map of one, ``f(s)`` (the column ``names[f][idx[k]]``), or a
+    call ``F(t, t, t)`` of ``names[F]``.  Parsed with ``ast`` on first use.
+
+    A call inside a member is looked up in the dict ``memo`` by its name
+    and the identities of its three values, and made only on a miss; a
+    member itself is always called, and never stored.  An argument is a
+    leaf that ``names`` holds or a value ``memo`` holds, so its id is not
+    reused while both live; one ``memo`` serves every identity written
+    over the same ``names``."""
     chain = ast.parse(text, mode="eval").body
     if not isinstance(chain, ast.Compare) or len(chain.ops) > 2 \
             or not all(isinstance(op, ast.Eq) for op in chain.ops):
@@ -286,28 +293,43 @@ def compile_identity(text: str, slots: str):
     letters = "".join(s for s in slots if s in used)
     pos = {s: k for k, s in enumerate(letters)}
 
-    def term(node):
+    def term(node, root=False):
         call = isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         name, args = (node.func.id, node.args) if call else (None, [node])
         if len(args) == 3:
             f, g, h = map(term, args)
-            return lambda idx, names: names[name](
-                f(idx, names), g(idx, names), h(idx, names))
+            if root:
+                return lambda idx, names, memo: names[name](
+                    f(idx, names, memo), g(idx, names, memo),
+                    h(idx, names, memo))
+
+            def shared(idx, names, memo):
+                x, y, z = (f(idx, names, memo), g(idx, names, memo),
+                           h(idx, names, memo))
+                key = name, id(x), id(y), id(z)
+                value = memo.get(key)
+                if value is None:
+                    value = memo[key] = names[name](x, y, z)
+                return value
+            return shared
         if len(args) == 1 and getattr(args[0], "id", None) in pos:
             name, k = name or args[0].id, pos[args[0].id]
-            return lambda idx, names: names[name][idx[k]]
+            return lambda idx, names, memo: names[name][idx[k]]
         raise ValueError(f"not a term: {ast.unparse(node)}")
 
-    members = [term(node) for node in (chain.left, *chain.comparators)]
-    return letters, lambda idx, names: [m(idx, names) for m in members]
+    members = [term(node, True) for node in (chain.left, *chain.comparators)]
+    return letters, lambda idx, names, memo: [m(idx, names, memo)
+                                              for m in members]
 
 
 def check_identities(laws: list[LawReport], texts, slots: str, names: dict,
                      residual, fmt, cap: int) -> None:
     """``check_laws`` for each identity of ``texts`` against its law, each
-    slot letter ``s`` it uses running over ``names[s]``, in ``slots`` order."""
+    slot letter ``s`` it uses running over ``names[s]``, in ``slots`` order.
+    The calls inside members share one memo, which lives for this call."""
+    memo = {}
     for lr, text in zip(laws, texts):
         letters, members = compile_identity(text, slots)
         check_laws([lr], [residual],
                    product(*(range(len(names[s])) for s in letters)),
-                   partial(members, names=names), fmt, cap)
+                   partial(members, names=names, memo=memo), fmt, cap)

@@ -146,6 +146,11 @@ def _load_product(entries, dims, out_dim, read) -> MuTensor:
                 raise StructureFileError(
                     f"product output index {l!r} is not a canonical integer")
             coeff = read(text)
+            # out of range, and maybe too long for int() to convert
+            if len(l) > len(str(out_dim)):
+                shown = l if len(l) <= 20 else f"{l[:10]}... ({len(l)} digits)"
+                raise StructureFileError(
+                    f"product output index {shown} out of range 1..{out_dim}")
             index = _index(int(l), out_dim, "product output")
             if coeff:
                 vec[index] = coeff
@@ -396,6 +401,10 @@ def load_file(path):
         ) from exc
     except (UnicodeDecodeError, RecursionError) as exc:
         raise StructureFileError(f"{path}: not decodable: {exc}") from exc
+    except StructureFileError:
+        raise
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise StructureFileError(f"{path}: not readable: {exc}") from exc
     return load_structure(doc)
 
 

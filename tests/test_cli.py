@@ -349,3 +349,22 @@ def test_malformed_json_rejected(tmp_path, raw):
     with pytest.raises(StructureFileError):
         load_file(bad)
     assert main(["check", str(bad)]) == 2
+
+
+# more digits than Python converts between int and str by default (4,300)
+_HUGE = "1" * 5000
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"args": [1, 1, 1]', f'"args": [{_HUGE}, 1, 1]'),
+    ('"out": {"1": "1"}', f'"out": {{"{_HUGE}": "1"}}'),
+    ('"dim": 1', f'"dim": {_HUGE}'),
+    ('"radicand": 1', f'"radicand": {_HUGE}'),
+], ids=["args", "out-key", "dim", "radicand"])
+def test_oversized_integer_is_an_error(tmp_path, capsys, old, new):
+    assert _ALGEBRA_TEXT.count(old) == 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(_ALGEBRA_TEXT.replace(old, new), encoding="utf-8")
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err) < 400

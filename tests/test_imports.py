@@ -1,11 +1,12 @@
-"""No module of ternalg but ``__init__`` imports a name it never uses, and
-none defines a private name it never reads.
+"""No module of ternalg but ``__init__`` imports a name it never uses,
+none defines a private name it never reads, and none generates code.
 
 ``__init__`` imports to re-export; every other module imports to use, so
 a name it imports and never reads is dead, most often left behind when the
 code that read it was deleted.  A private module-level function, class or
 assignment is the module's own, so it is dead too unless the module reads
-it.
+it.  The written identities are compiled to closures, so no module needs
+the builtins ``eval``, ``exec`` or ``compile``.
 """
 
 import ast
@@ -91,4 +92,31 @@ def test_the_scan_sees_an_unread_private_name():
 @pytest.mark.parametrize("module", FILES)
 def test_no_unread_private_name(module):
     assert unread_private_names((SRC / module).read_text(
+        encoding="utf-8")) == []
+
+
+def code_generation_calls(source: str) -> list:
+    """The calls in ``source`` of ``eval``, ``exec`` or ``compile`` by bare
+    name, as (line, name); a method such as ``re.compile`` is not one."""
+    return sorted((node.lineno, node.func.id)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in ("eval", "exec", "compile"))
+
+
+def test_the_scan_sees_code_generation():
+    source = ("import re\n"
+              "PATTERN = re.compile('x')\n"
+              "def compile_identity(text):\n"
+              "    code = compile(text, '<identity>', 'eval')\n"
+              "    exec('y = 1')\n"
+              "    return eval(code), compile_identity\n")
+    assert code_generation_calls(source) == [
+        (4, "compile"), (5, "exec"), (6, "eval")]
+
+
+@pytest.mark.parametrize("module", FILES)
+def test_no_code_generation(module):
+    assert code_generation_calls((SRC / module).read_text(
         encoding="utf-8")) == []

@@ -22,13 +22,22 @@ from ternalg.trimodule import (
 from test_algebra import (
     DENSE,
     RHO1,
+    _algebra,
     _change_of_basis,
     _transport,
     _verdicts,
     mat,
     mu_from,
+    sixths_matrix,
+    sixths_tensor,
 )
-from test_trimodule import check_table, namespaces, transport_actions
+from test_trimodule import (
+    assert_matches_reference,
+    check_table,
+    namespaces,
+    sixths_actions,
+    transport_actions,
+)
 
 
 def q(x):
@@ -155,3 +164,33 @@ def test_change_of_basis_keeps_every_verdict(radicand):
             assert _verdicts(check_matched_pair(moved, mode, full, 1)) == before
             seen.update(passed for _, passed in before)
     assert seen == {True, False}
+
+
+# dims 2 and 2 at radicand 1 only, since there each cap reruns the whole
+# reference; test_trimodule covers all three radicands at those dims
+@pytest.mark.parametrize("na, nb, radicand", [
+    (na, nb, radicand) for na, nb in ((1, 1), (1, 2), (2, 1))
+    for radicand in (1, 2, 5)] + [(2, 2, 1)])
+def test_identities_match_per_tuple_reference(monkeypatch, na, nb, radicand):
+    rng = random.Random(f"matched-identities-{na}-{nb}-{radicand}")
+
+    def sixths_algebra(n):
+        # alpha1 != alpha2
+        return TernaryHomAlgebra(n, sixths_tensor(rng, (n,) * 3, n, radicand),
+                                 sixths_matrix(rng, n, radicand),
+                                 sixths_matrix(rng, n, radicand), radicand)
+
+    a = _algebra(rng, na, radicand, "twisted")
+    b = zero_algebra(nb, a.alpha1) if na == nb else sixths_algebra(nb)
+    # A acting on B by its regular actions where they fit, and not back
+    pairs = [MatchedPairData(a, b, regular_actions(a)[1] if na == nb
+                             else sixths_actions(rng, na, nb, radicand),
+                             TrimoduleActions())]
+    pairs.append(MatchedPairData(
+        sixths_algebra(na), sixths_algebra(nb),
+        sixths_actions(rng, na, nb, radicand),
+        sixths_actions(rng, nb, na, radicand)))
+    for mp, mode, full in product(pairs, ("total", "partial"),
+                                  (False, True)):
+        assert_matches_reference(monkeypatch, lambda cap: check_matched_pair(
+            mp, mode, full, cap))

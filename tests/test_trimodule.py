@@ -1,4 +1,5 @@
 import ast
+import pathlib
 import random
 from itertools import product
 
@@ -13,8 +14,15 @@ from ternalg.linalg import (
     mat_mul,
     trilinear,
 )
-from ternalg.report import LawReport, Report, check_identities, compile_identity
+from ternalg.report import (
+    LawReport,
+    Report,
+    check_identities,
+    check_laws,
+    compile_identity,
+)
 from ternalg.scalars import ONE, QuadScalar
+from ternalg.serialization import load_file
 from ternalg.trimodule import (
     BRAIDING,
     TRIMODULE,
@@ -44,6 +52,8 @@ from test_algebra import (
     sixths_tensor,
     stop_points,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def q(x):
@@ -164,24 +174,28 @@ def test_semidirect_oracle_equivalence():
 # -- the written identities ------------------------------------------------
 
 
-def identity_parts(text):
-    """The calls and the slot letters of a written identity, read from its
-    syntax tree: a slot letter is a name that is not called."""
-    nodes = list(ast.walk(ast.parse(text, mode="eval")))
-    calls = [node for node in nodes if isinstance(node, ast.Call)]
-    called = {id(call.func) for call in calls}
-    letters = {node.id for node in nodes
-               if isinstance(node, ast.Name) and id(node) not in called}
-    return calls, letters
+def slot_letters(tree):
+    """The slot letters a syntax tree reads, once per reading: a slot
+    letter is a name that is not called."""
+    nodes = list(ast.walk(tree))
+    called = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+    return [node.id for node in nodes
+            if isinstance(node, ast.Name) and id(node) not in called]
 
 
 def check_table(texts, slots, pattern, names):
     """Each identity parses, uses only ``names``, applies each operation to
     three terms and each map to one slot letter, and quantifies over
-    exactly the letters of ``pattern``."""
+    exactly the letters of ``pattern``; each member reads each of them
+    exactly once, so it is linear in each."""
     for text in texts:
-        calls, letters = identity_parts(text)
+        chain = ast.parse(text, mode="eval").body
+        calls = [node for node in ast.walk(chain) if isinstance(node, ast.Call)]
+        letters = set(slot_letters(chain))
         assert letters == set(pattern) and letters <= set(names), text
+        for member in (chain.left, *chain.comparators):
+            assert sorted(slot_letters(member)) == sorted(letters), \
+                (text, ast.unparse(member))
         for call in calls:
             assert isinstance(call.func, ast.Name) and not call.keywords
             value = names[call.func.id]
@@ -317,3 +331,99 @@ def test_intertwining_laws_match_quadscalar_reference(n, m, radicand):
                 intertwining_laws, alg, mod, act, cap).as_dict() == \
                 run_intertwining_laws(reference_intertwining_laws, alg, mod,
                                       act, cap).as_dict()
+
+
+# -- shared subterms against per-tuple evaluation -------------------------
+
+
+def reference_check_identities(laws, texts, slots, names, residual, fmt,
+                               cap):
+    """check_identities with no memo: each member of each identity built
+    afresh at every index tuple, by closures of ``(idx, names)``."""
+    for lr, text in zip(laws, texts):
+        chain = ast.parse(text, mode="eval").body
+        nodes = list(ast.walk(chain))
+        used = {node.id for node in nodes if isinstance(node, ast.Name)} - {
+            getattr(node.func, "id", None) for node in nodes
+            if isinstance(node, ast.Call)}
+        letters = "".join(s for s in slots if s in used)
+        pos = {s: k for k, s in enumerate(letters)}
+
+        def term(node):
+            call = isinstance(node, ast.Call)
+            name, args = (node.func.id, node.args) if call else (None, [node])
+            if len(args) == 3:
+                f, g, h = map(term, args)
+                return lambda idx, names: names[name](
+                    f(idx, names), g(idx, names), h(idx, names))
+            name, k = name or args[0].id, pos[args[0].id]
+            return lambda idx, names: names[name][idx[k]]
+
+        members = [term(node) for node in (chain.left, *chain.comparators)]
+        check_laws([lr], [residual],
+                   product(*(range(len(names[s])) for s in letters)),
+                   lambda idx: [m(idx, names) for m in members], fmt, cap)
+
+
+def by_reference(monkeypatch, run):
+    """``run()`` with its written identities checked by
+    ``reference_check_identities``."""
+    with monkeypatch.context() as patch:
+        for module in ("ternalg.trimodule", "ternalg.matched_pair"):
+            patch.setattr(f"{module}.check_identities",
+                          reference_check_identities)
+        return run()
+
+
+def assert_matches_reference(monkeypatch, check):
+    """``check(cap)`` gives the same report as with the per-tuple
+    reference at every cap up to one past the most violations of a law."""
+    for cap in stop_points(
+            lambda: by_reference(monkeypatch, lambda: check(UNLIMITED)), 2):
+        assert check(cap).as_dict() == \
+            by_reference(monkeypatch, lambda: check(cap)).as_dict()
+
+
+def sixths_actions(rng, n, m, radicand):
+    """Random actions of a dim-n algebra on a dim-m space, over the
+    denominators 2 and 3."""
+    return TrimoduleActions(sixths_tensor(rng, (n, n, m), m, radicand),
+                            sixths_tensor(rng, (m, n, n), m, radicand),
+                            sixths_tensor(rng, (n, m, n), m, radicand))
+
+
+@pytest.mark.parametrize("radicand", [1, 2, 5])
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_identities_match_per_tuple_reference(monkeypatch, n, m, radicand):
+    rng = random.Random(f"identities-{n}-{m}-{radicand}")
+    twisted = _algebra(rng, n, radicand, "twisted")
+    setups = [(twisted, *regular_actions(twisted))] if n == m else []
+    # twists of A and of V with alpha1 != alpha2 and beta1 != beta2
+    alg = TernaryHomAlgebra(n, sixths_tensor(rng, (n,) * 3, n, radicand),
+                            sixths_matrix(rng, n, radicand),
+                            sixths_matrix(rng, n, radicand), radicand)
+    mod = BihomModule(m, sixths_matrix(rng, m, radicand),
+                      sixths_matrix(rng, m, radicand))
+    setups.append((alg, mod, sixths_actions(rng, n, m, radicand)))
+    for (alg, mod, act), mode, level in product(
+            setups, ("total", "partial"), ("quasi", "full")):
+        assert_matches_reference(monkeypatch, lambda cap: check_trimodule(
+            alg, mod, act, mode, level, cap))
+
+
+def test_each_subterm_is_evaluated_once(monkeypatch):
+    # laws 1, 2, 4 and 5 call mu on slot letters only, and mu(a, b, c) and
+    # mu(b, c, d) read the same basis: one call per triple of basis vectors
+    alg = load_file(FIXTURES / "t2h1.json")
+    mod, act = regular_actions(alg)
+    calls = []
+    mu_vec = TernaryHomAlgebra.mu_vec
+
+    def spy(self, x, y, z):
+        calls.append((x, y, z))
+        return mu_vec(self, x, y, z)
+
+    monkeypatch.setattr(TernaryHomAlgebra, "mu_vec", spy)
+    assert check_trimodule(alg, mod, act, "total", "quasi").passed
+    assert len(calls) == alg.dim ** 3 == 8
+    assert len({tuple(map(id, args)) for args in calls}) == len(calls)
