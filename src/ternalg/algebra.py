@@ -12,7 +12,7 @@ reported with its 1-based basis index tuple.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import reduce
+from functools import partial, reduce
 from itertools import product
 
 from .linalg import (
@@ -21,6 +21,7 @@ from .linalg import (
     Matrix,
     SparseVec,
     drop_zeros,
+    mat_check_size,
     mat_columns,
     mat_identity,
     mat_invertible,
@@ -33,7 +34,6 @@ from .linalg import (
     pair_nonzero,
     pair_pack,
     pair_trilinear,
-    pair_width,
     trilinear,
     vec_add_into,
 )
@@ -44,7 +44,6 @@ from .report import (
     check_laws,
     check_packed,
     itself,
-    mode_laws,
     vec_str,
 )
 from .scalars import (
@@ -107,20 +106,13 @@ class TernaryHomAlgebra:
 
     def check_associativity(self, mode: str = "total",
                             max_violations: int = DEFAULT_MAX_VIOLATIONS) -> Report:
-        laws = mode_laws("assoc", ("qt1a", "qt1b", "qp1", "qw1"), mode)
-        d, (den, mu), (den1, a1), (den2, a2) = lift(
-            self.mu, self._alpha1_cols, self._alpha2_cols)
-        # each member has degree mu^2 alpha1 alpha2: one scale for all
-        scale = den * den * den1 * den2
-        n, w = self.dim, pair_width(d, mu, a1, a2)
+        n = self.dim
         # weak mode compares t1 and t3 only
-        check_packed(laws, mode,
-                     _assoc_rows(n, mu, a1, a2, d, w, mode != "weak"),
-                     w, n, lambda row, k: row + divmod(k, n),
-                     lambda res: vec_str({i: unlift(a, b, scale, d)
-                                          for i, (a, b) in res.items()}),
-                     max_violations)
-        return Report(laws)
+        return check_packed("assoc", ("qt1a", "qt1b", "qp1", "qw1"), mode,
+                            (self.mu, self._alpha1_cols, self._alpha2_cols),
+                            partial(_assoc_rows, n, mode != "weak"), n,
+                            lambda row, k: row + divmod(k, n), vec_str,
+                            max_violations)
 
     # -- multiplicativity of the twists ---------------------------------
 
@@ -148,8 +140,7 @@ class TernaryHomAlgebra:
 
     def yau_twist(self, rho: Matrix) -> "TernaryHomAlgebra":
         """Twist a classical ternary algebra along an endomorphism rho."""
-        if len(rho) != self.dim:
-            raise ValueError("dimension mismatch")
+        mat_check_size(rho, self.dim)
         if not self.is_classical():
             raise PreconditionNotClassical(
                 "Yau twist requires identity twist maps on the input")
@@ -172,8 +163,8 @@ class TernaryHomAlgebra:
         return TernaryHomAlgebra(self.dim, mu_new, rho, rho, radicand)
 
 
-def _assoc_rows(n: int, mu: dict, a1: dict, a2: dict, d: int, w: int,
-                middle: bool):
+def _assoc_rows(n: int, middle: bool, mu: dict, a1: dict, a2: dict, d: int,
+                w: int):
     """The rows (i1, i2, i3) of ``check_associativity`` for
     ``report.check_packed``, every tuple (i4, i5) in the space of each; a
     row whose members are all zero only if it is the last.  ``mu``,
@@ -303,8 +294,7 @@ def intertwining(laws, cap: int, basis: str = "e") -> Iterator[LawReport]:
         scale = left * right
         check_laws([lr], [itself], product(*[range(len(f)) for f in maps]),
                    members,
-                   lambda res: vec_str({i: unlift(a, b, scale, d)
-                                        for i, (a, b) in res.items()}, basis),
+                   lambda res: vec_str(unlift(res, scale, d), basis),
                    cap)
         yield lr
 
@@ -326,8 +316,7 @@ def twist_intertwining(f_cols: list, a, b, kind: str, tag: str) -> list:
 def morphism_laws(f: Matrix, a: TernaryHomAlgebra, b: TernaryHomAlgebra,
                   cap: int) -> Iterator[LawReport]:
     """The laws of an algebra morphism, each checked when it is reached."""
-    if not a.dim == b.dim == len(f):
-        raise ValueError("dimension mismatch")
+    mat_check_size(f, a.dim, b.dim)
     f_cols = mat_columns(f)
 
     def laws():

@@ -15,13 +15,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import TernaryHomAlgebra, check_algebra_morphism, morphism_laws
-from .coalgebra import (
-    TernaryHomCoalgebra,
-    Tensor3,
-    check_coalgebra_morphism,
-    comorphism_laws,
-)
+from .algebra import TernaryHomAlgebra, morphism_laws
+from .coalgebra import TernaryHomCoalgebra, Tensor3, comorphism_laws
 from .duality import dualize_algebra, dualize_coalgebra
 from .linalg import (
     PAIR_ZERO,
@@ -36,6 +31,7 @@ from .report import (
     DEFAULT_MAX_VIOLATIONS,
     LawReport,
     Report,
+    Violation,
     check_laws,
     difference,
     itself,
@@ -129,8 +125,7 @@ def check_compatibility(bi: TernaryBialgebra,
     lr = LawReport("compat", "cp1")
     check_laws([lr], [itself], itertools.product(range(n), repeat=3),
                members,
-               lambda res: _t3_str({key: unlift(a, b, scale, d)
-                                    for key, (a, b) in res.items()}),
+               lambda res: _t3_str(unlift(res, scale, d)),
                max_violations)
     return Report([lr])
 
@@ -292,18 +287,13 @@ def check_bialgebra_equivalence(f: Matrix, b1: TernaryBialgebra,
                                 b2: TernaryBialgebra,
                                 max_violations: int = DEFAULT_MAX_VIOLATIONS
                                 ) -> Report:
-    report = Report()
-    inv = LawReport("equivalence:invertible", "equiv0")
-    report.add(inv)
-    check_laws([inv], [itself], [] if mat_invertible(f) else [()],
-               lambda idx: "map is singular", str, max_violations)
-    for sub in (check_algebra_morphism(f, b1.alg, b2.alg, max_violations),
-                check_coalgebra_morphism(f, b1.coalg, b2.coalg,
-                                         max_violations)):
-        for lr in sub.laws:
-            lr.law = f"equivalence:{lr.law}"
-            report.add(lr)
-    return report
+    laws = [*morphism_laws(f, b1.alg, b2.alg, max_violations),
+            *comorphism_laws(f, b1.coalg, b2.coalg, max_violations)]
+    for lr in laws:
+        lr.law = f"equivalence:{lr.law}"
+    singular = [] if mat_invertible(f) else [Violation((), "map is singular")]
+    return Report([LawReport("equivalence:invertible", "equiv0", singular),
+                   *laws])
 
 
 def is_bialgebra_equivalence(f: Matrix, b1: TernaryBialgebra,

@@ -16,18 +16,18 @@ disagreement between the two encodings is reported, never reconciled.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .algebra import intertwining, twist_intertwining
 from .linalg import (
     Matrix,
     SparseVec,
     drop_zeros,
+    mat_check_size,
     mat_columns,
     mat_identity,
     mat_invertible,
     pair_pack,
-    pair_width,
     vec_add_at,
     vec_sub,
 )
@@ -42,7 +42,7 @@ from .report import (
     mode_laws,
     mode_residuals,
 )
-from .scalars import ZERO, lift, unlift
+from .scalars import ZERO
 
 DeltaTensor = dict  # dict[int, dict[tuple[int, int, int], QuadScalar]]
 Tensor3 = dict  # dict[tuple[int, int, int], QuadScalar]
@@ -74,17 +74,12 @@ class TernaryHomCoalgebra:
     def check_coassociativity(self, mode: str = "total",
                               max_violations: int = DEFAULT_MAX_VIOLATIONS
                               ) -> Report:
-        laws = mode_laws("coassoc", ("ct1a", "ct1b", "cq1", "cw1"), mode)
-        d, (den, delta), (den1, a1), (den2, a2) = lift(
-            self.delta, self._alpha1_cols, self._alpha2_cols)
-        # each pattern has degree Delta^2 alpha1 alpha2: one scale for all
-        scale = den * den * den1 * den2
-        n, w = self.dim, pair_width(d, delta, a1, a2)
-        check_packed(laws, mode, _coassoc_rows(n, delta, a1, a2, d, w),
-                     w, 1, lambda l, slot: _key(l, slot, n),
-                     lambda res: str(unlift(*res[0], scale, d)),
-                     max_violations)
-        return Report(laws)
+        n = self.dim
+        return check_packed("coassoc", ("ct1a", "ct1b", "cq1", "cw1"), mode,
+                            (self.delta, self._alpha1_cols, self._alpha2_cols),
+                            partial(_coassoc_rows, n), 1,
+                            lambda l, slot: _key(l, slot, n),
+                            lambda res: str(res[0]), max_violations)
 
     # -- comultiplicativity ----------------------------------------------
 
@@ -192,8 +187,7 @@ def comorphism_laws(f: Matrix, c1: TernaryHomCoalgebra,
                     c2: TernaryHomCoalgebra, cap: int
                     ) -> Iterator[LawReport]:
     """The laws of a coalgebra morphism, each checked when it is reached."""
-    if not c1.dim == c2.dim == len(f):
-        raise ValueError("dimension mismatch")
+    mat_check_size(f, c1.dim, c2.dim)
     cols = mat_columns(f)
     yield _comorphism_defects(LawReport("comorphism:coproduct", "comor1"),
                               c1, cols, c2, cap)

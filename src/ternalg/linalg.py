@@ -284,6 +284,12 @@ def mat_from_rows(rows: list[list[QuadScalar]]) -> Matrix:
     return [list(row) for row in rows]
 
 
+def mat_check_size(m: Matrix, *dims: int) -> None:
+    """Raise ValueError unless ``m`` is square and of size each of ``dims``."""
+    if len({len(m), *dims, *map(len, m)}) != 1:
+        raise ValueError("dimension mismatch")
+
+
 def mat_identity(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 

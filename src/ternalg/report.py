@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
 
-from .linalg import next_slot, pair_unpack, vec_sub, vec_sum
+from .linalg import next_slot, pair_unpack, pair_width, vec_sub, vec_sum
+from .scalars import lift, unlift
 
 DEFAULT_MAX_VIOLATIONS = 10
 
@@ -202,15 +203,20 @@ def check_laws(laws: list[LawReport], residuals: list, indices, members,
 _PICK = (operator.itemgetter(0), operator.itemgetter(1))
 
 
-def check_packed(laws: list[LawReport], mode: str, rows, w: int, span: int,
-                 key, fmt, cap: int) -> None:
-    """``check_laws`` for an identity whose members come a row at a time,
-    each a pair of ints (a, b), for a + b*sqrt(d), packed with signed
-    ``w``-bit slots.
+def check_packed(name: str, tags: tuple, mode: str, tables: tuple, rows,
+                 span: int, key, fmt, cap: int) -> Report:
+    """The report of identity ``name`` in ``mode``, its laws as
+    ``mode_laws`` makes them, whose three members each have degree
+    T^2 alpha1 alpha2 (an identity of another degree needs its own scale
+    and width here) and come a row at a time, packed.
 
-    ``rows`` yields ``(row, members, space)`` in index order: tuple k of
-    the row, ``key(row, k)``, takes ``span`` slots of each of the three
-    ``members`` (None when all are zero) from slot k*span on; the ints of
+    ``tables``, T and the column lists of alpha1 and alpha2, are lifted to
+    int pairs once; each member carries the scale D_T^2 D_alpha1 D_alpha2.
+    ``rows(T, a1, a2, d, w)`` on the lifted tables yields ``(row, members,
+    space)`` in index order: tuple k of the row, ``key(row, k)``, takes
+    ``span`` slots of each of the three ``members`` (None when all are
+    zero), pairs of ints (a, b), for a + b*sqrt(d), packed with signed
+    slots of w = ``pair_width`` bits, from slot k*span on; the ints of
     ``space`` are nonzero exactly at the row's index tuples.  A row whose
     members are all zero may be left out, unless it is the last row with
     tuples and a member of an earlier row is not zero.
@@ -218,15 +224,21 @@ def check_packed(laws: list[LawReport], mode: str, rows, w: int, span: int,
     Each law still open gets its residual on the packed members, one int
     comparison per row.  Only the tuples where one fails reach
     ``check_laws``, each law's residual there read back as
-    ``{slot: (a, b)}`` (slots of the tuple) for ``fmt``; after them, the
-    next tuple of the space with no residual, so that ``check_laws``
+    ``{slot: QuadScalar}`` (slots of the tuple) for ``fmt``; after them,
+    the next tuple of the space with no residual, so that ``check_laws``
     sees that an index remains.  No other tuple can change a report.
     """
+    laws = mode_laws(name, tags, mode)
+    d, (den, t), (den1, a1), (den2, a2) = lift(*tables)
+    scale, w = den * den * den1 * den2, pair_width(d, t, a1, a2)
     found = {}
-    tuples = _packed_tuples(rows, list(zip(laws, mode_residuals(mode, PAIR))),
+    tuples = _packed_tuples(rows(t, a1, a2, d, w),
+                            list(zip(laws, mode_residuals(mode, PAIR))),
                             found, w * span, key)
     check_laws(laws, _PICK[:len(laws)], tuples, found.pop,
-               lambda res: fmt(pair_unpack(*res, w, span)), cap)
+               lambda res: fmt(unlift(pair_unpack(*res, w, span), scale, d)),
+               cap)
+    return Report(laws)
 
 
 def _packed_tuples(rows, laws: list, found: dict, w: int, key):

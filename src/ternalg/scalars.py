@@ -242,9 +242,10 @@ def lift(*tables) -> list:
     return [d, *out]
 
 
-def unlift(a: int, b: int, den: int, d: int) -> QuadScalar:
-    """The scalar ``(a + b*sqrt(d)) / den`` of a lifted pair, reduced."""
-    return _make(a, b, den, d)
+def unlift(vec: dict, den: int, d: int) -> dict:
+    """A vector of lifted pairs ``{key: (a, b)}`` as scalars, each
+    ``(a + b*sqrt(d)) / den`` reduced, under the same keys."""
+    return {key: _make(a, b, den, d) for key, (a, b) in vec.items()}
 
 
 # -- literal grammar ----------------------------------------------------

@@ -251,15 +251,22 @@ def test_operator_slots():
     assert a.op_M(e1, e2, e1) == a.mu_vec(e1, e1, e2)
 
 
+# maps that are not 2 x 2: square of another size, wider than tall, and
+# with a short row
+OTHER_SIZES = {"1": mat_identity(1), "3": mat_identity(3),
+               "wide": mat([[1, 0, 5], [0, 1, 7]]),
+               "short": mat([[1], [0, 1]])}
+
+
 @pytest.mark.parametrize("call", [
     lambda a, f: check_algebra_morphism(f, a, a),
     lambda a, f: is_algebra_isomorphism(f, a, a),
     lambda a, f: a.yau_twist(f),
 ], ids=["morphism", "isomorphism", "yau_twist"])
-@pytest.mark.parametrize("size", [1, 3])
-def test_map_of_another_size_is_refused(call, size):
+@pytest.mark.parametrize("f", OTHER_SIZES.values(), ids=OTHER_SIZES.keys())
+def test_map_of_another_size_is_refused(call, f):
     with pytest.raises(ValueError, match="^dimension mismatch$"):
-        call(nilp(), mat_identity(size))
+        call(nilp(), f)
 
 
 def refuse(*args):

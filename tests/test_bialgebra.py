@@ -27,6 +27,7 @@ from ternalg.scalars import ONE, QuadScalar
 from test_algebra import (
     DENSE_TW1,
     NILP,
+    OTHER_SIZES,
     RHO1,
     UNLIMITED,
     _change_of_basis,
@@ -347,8 +348,9 @@ def test_equivalence_swap():
 @pytest.mark.parametrize("check", [check_bialgebra_equivalence,
                                    is_bialgebra_equivalence])
 def test_equivalence_refuses_a_map_of_another_size(check):
-    with pytest.raises(ValueError, match="^dimension mismatch$"):
-        check(mat_identity(3), pb2(), eq2())
+    for f in OTHER_SIZES.values():
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            check(f, pb2(), eq2())
 
 
 def test_equivalence_stops_at_the_first_failing_law(monkeypatch):

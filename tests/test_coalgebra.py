@@ -1,8 +1,10 @@
 import random
+import re
 from itertools import product
 
 import pytest
 
+from ternalg.algebra import TernaryHomAlgebra
 from ternalg.coalgebra import (
     TernaryHomCoalgebra,
     check_coalgebra_morphism,
@@ -24,6 +26,7 @@ from ternalg.scalars import ZERO, QuadScalar, RadicandMismatch
 
 from test_algebra import (
     MODES,
+    OTHER_SIZES,
     UNLIMITED,
     _algebra,
     _int_algebra,
@@ -32,6 +35,8 @@ from test_algebra import (
     _verdicts,
     differential_structures,
     refuse,
+    sixths_matrix,
+    sixths_tensor,
     stop_points,
 )
 
@@ -183,13 +188,13 @@ def test_isomorphism_stops_at_the_first_failing_law(monkeypatch):
     assert not is_coalgebra_isomorphism(mat([[2, 0], [0, 2]]), c, c)
 
 
-@pytest.mark.parametrize("size", [1, 3])
-def test_map_of_another_size_is_refused(size):
+@pytest.mark.parametrize("f", OTHER_SIZES.values(), ids=OTHER_SIZES.keys())
+def test_map_of_another_size_is_refused(f):
     c = nilp_co()
     with pytest.raises(ValueError, match="^dimension mismatch$"):
-        check_coalgebra_morphism(mat_identity(size), c, c)
+        check_coalgebra_morphism(f, c, c)
     with pytest.raises(ValueError, match="^dimension mismatch$"):
-        is_coalgebra_isomorphism(mat_identity(size), c, c)
+        is_coalgebra_isomorphism(f, c, c)
 
 
 # -- fraction-free coassociativity against QuadScalar evaluation ----------
@@ -243,6 +248,37 @@ def test_coassociativity_matches_quadscalar_reference(n, radicand):
     rng = random.Random(f"coassoc-{n}-{radicand}")
     for a in differential_structures(rng, n, radicand):
         assert_matches_reference(dualize_algebra(a))
+
+
+def _entries(residual: str) -> dict:
+    """The entries ``{l: c}`` (1-based l) of a ``vec_str`` residual."""
+    return {int(l): c for l, c in re.findall(r"e(\d+): ([^,}]+)", residual)}
+
+
+@pytest.mark.parametrize("radicand", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coassociativity_of_the_dual_is_associativity_entry_by_entry(
+        n, radicand):
+    # both laws come from one check_packed scale over different row
+    # builders: entry l of the associativity residual at (i, j, k, q, p)
+    # is the coassociativity residual of the dual at (l, i, j, k, q, p)
+    rng = random.Random(f"dual-entries-{n}-{radicand}")
+    for _ in range(25):
+        alpha1 = sixths_matrix(rng, n, radicand)
+        alpha2 = sixths_matrix(rng, n, radicand)
+        while alpha2 == alpha1:
+            alpha2 = sixths_matrix(rng, n, radicand)
+        a = TernaryHomAlgebra(n, sixths_tensor(rng, (n,) * 3, n, radicand),
+                              alpha1, alpha2, radicand)
+        for mode in MODES:
+            assoc = a.check_associativity(mode, UNLIMITED)
+            coassoc = dualize_algebra(a).check_coassociativity(mode,
+                                                               UNLIMITED)
+            for lr, co in zip(assoc.laws, coassoc.laws, strict=True):
+                expected = {(l, *v.index): c for v in lr.violations
+                            for l, c in _entries(v.residual).items()}
+                assert {v.index: v.residual
+                        for v in co.violations} == expected
 
 
 def test_coassociativity_takes_the_radicand_from_the_constants():

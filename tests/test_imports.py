@@ -1,12 +1,15 @@
 """No module of ternalg but ``__init__`` imports a name it never uses,
-none defines a private name it never reads, and none generates code.
+none defines a private name it never reads, none generates code, and
+only ``report`` sizes the slots of packed members.
 
 ``__init__`` imports to re-export; every other module imports to use, so
 a name it imports and never reads is dead, most often left behind when the
 code that read it was deleted.  A private module-level function, class or
 assignment is the module's own, so it is dead too unless the module reads
 it.  The written identities are compiled to closures, so no module needs
-the builtins ``eval``, ``exec`` or ``compile``.
+the builtins ``eval``, ``exec`` or ``compile``.  ``report.check_packed``
+lifts the tables of a packed law and takes their scale and slot width,
+so no other module calls ``pair_width``.
 """
 
 import ast
@@ -120,3 +123,27 @@ def test_the_scan_sees_code_generation():
 def test_no_code_generation(module):
     assert code_generation_calls((SRC / module).read_text(
         encoding="utf-8")) == []
+
+
+def calls_of(source: str, name: str) -> list:
+    """The lines of ``source`` that call ``name``, by bare name or as an
+    attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None)))
+
+
+def test_the_scan_sees_a_call_of_pair_width():
+    source = ("from . import linalg\n"
+              "from .linalg import pair_width\n"
+              "def width(d, mu, cols):\n"
+              "    w = pair_width(d, mu, cols)\n"
+              "    return w, linalg.pair_width(d, mu), pair_width\n")
+    assert calls_of(source, "pair_width") == [4, 5]
+
+
+@pytest.mark.parametrize("module", [m for m in FILES if m != "report.py"])
+def test_only_report_calls_pair_width(module):
+    assert calls_of((SRC / module).read_text(encoding="utf-8"),
+                    "pair_width") == []

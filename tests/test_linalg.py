@@ -1,12 +1,15 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ternalg.linalg import (
+    PAIR_ONE,
     SingularMatrix,
     next_slot,
+    pair_first_two,
     pair_pack,
     pair_trilinear,
     pair_unpack,
@@ -22,7 +25,7 @@ from ternalg.linalg import (
     trilinear,
     vec_add_into,
 )
-from ternalg.scalars import ONE, ZERO, QuadScalar
+from ternalg.scalars import ONE, ZERO, QuadScalar, lift, unlift
 
 
 def q(x):
@@ -201,3 +204,54 @@ def test_pair_width_holds_any_three_members_of_a_dense_maximal_table(d):
     assert max(max(abs(a), abs(b)) for a, b in total.values()) < \
         1 << (w - 1)
     assert pair_unpack(*pair_pack(total, w), w, n) == total
+
+
+def _quad(rng, d):
+    """A scalar over the denominators 1 to 3, irrational about half the
+    time when d is not 1; zero about a seventh of the time."""
+    x = QuadScalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    if d != 1 and rng.random() < 0.5:
+        x = x + QuadScalar(0, Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                           d)
+    return x
+
+
+@pytest.mark.parametrize("packed", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_lifted_kernels_unlift_to_trilinear(d, packed):
+    # packed, x holds x_k at slot k < K and y holds y_j at slot K*j, as
+    # _assoc_rows packs the twists' rows, so an output holds
+    # trilinear(x_k, y_j, e_u) at slot k + K*j
+    rng = random.Random(f"kernels-{d}-{packed}")
+    n, w = 3, 96
+    K, J = (2, 3) if packed else (1, 1)
+    for _ in range(15):
+        tensor = {key: {l: _quad(rng, d) for l in range(n)}
+                  for key in itertools.product(range(n), repeat=3)
+                  if rng.random() < 0.6}
+        xs, ys = ([{r: _quad(rng, d) for r in range(n)} for _ in range(k)]
+                  for k in (K, J))
+        _, (dt, t), (dx, xl), (dy, yl) = lift(tensor, xs, ys)
+        x, y = xl[0], yl[0]
+        if packed:
+            x, y = ({r: pair_pack({stride * k: vec[r]
+                                   for k, vec in lifted.items() if r in vec},
+                                  w) for r in range(n)}
+                    for lifted, stride in ((xl, 1), (yl, K)))
+        first_two = pair_first_two(t, x, y, n, d)
+        for u in range(n):
+            expected = {k + K * j: trilinear(tensor, xs[k], ys[j], {u: ONE})
+                        for k in range(K) for j in range(J)}
+            for got in (first_two[u],
+                        pair_trilinear(t, x, y, {u: PAIR_ONE}, d)):
+                slots = {0: got}
+                if packed:
+                    slots = {}
+                    for l, pair in got.items():
+                        for k, ab in pair_unpack(*pair, w, K * J).items():
+                            slots.setdefault(k, {})[l] = ab
+                values = {k: {l: c for l, c in unlift(vec, dt * dx * dy,
+                                                      d).items() if c}
+                          for k, vec in slots.items()}
+                assert {k: vec for k, vec in values.items() if vec} == \
+                    {k: vec for k, vec in expected.items() if vec}
