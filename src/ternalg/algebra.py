@@ -73,6 +73,8 @@ class NotEndomorphism(ValueError):
 class TernaryHomAlgebra:
     def __init__(self, dim: int, mu: MuTensor, alpha1: Matrix, alpha2: Matrix,
                  radicand: int = 1):
+        mat_check_size(alpha1, dim)
+        mat_check_size(alpha2, dim)
         self.dim = dim
         self.mu = drop_zeros(mu)
         self.alpha1 = alpha1
@@ -172,12 +174,13 @@ def _assoc_rows(n: int, middle: bool, mu: dict, a1: dict, a2: dict, d: int,
     ``middle``.
 
     Each member is packed over (i4, i5, l) with ``w``-bit slots.  It is
-    the sum over m of a packed inner product coefficient times a table
-    entry, each filled on first use by one ``pair_trilinear`` call,
-    packed over l:
+    the sum over m of an inner product coefficient times a table entry,
+    each filled on first use by one ``pair_trilinear`` call, packed over l:
 
     - t1: x_m = mu(e_i1, e_i2, e_i3)_m times A[m] = mu(e_m, a1 ., a2 .);
-    - t2: y_m = mu(e_i2, e_i3, .)_m times B[i1][m] = mu(a1 e_i1, e_m, a2 .);
+    - t2: mu(e_i2, e_i3, e_i4)_m times B[i1][m] = mu(a1 e_i1, e_m, a2 .),
+      one i4 at a time: packed over i4, mu(e_i2, e_i3, .) would hold one
+      live slot in every n^2;
     - t3: z_m = mu(e_i3, ., .)_m times C[i1, i2][m] = mu(a1 e_i1, a2 e_i2, e_m);
 
     where a dot stands for the free i4 (slot block n^2), i5 (block n) or
@@ -189,18 +192,17 @@ def _assoc_rows(n: int, middle: bool, mu: dict, a1: dict, a2: dict, d: int,
         return  # every member of every row is empty
     wn, nn = w * n, n * n
     space = (((1 << wn * nn) - 1) // ((1 << wn) - 1),)  # 1 in every tuple
-    # the twists' rows, a1 over i4 and a2 over i5; the inner products of
-    # t2 and t3, mu(e_r, e_s, .) over i4 and mu(e_r, ., .) over (i4, i5)
+    # the twists' rows, a1 over i4 and a2 over i5; mu(e_r, e_s, e_i4) with
+    # the shift of its i4 block for t2, and mu(e_r, ., .) over (i4, i5)
     rows1, rows2, Y, Z = {}, {}, {}, {}
     for rows, cols, block in ((rows1, a1, wn * n), (rows2, a2, wn)):
         for i, col in cols.items():
             for k, (a, b) in col.items():
                 pair_add_shifted(rows, k, a, b, block * i)
     for (r, s, t), vec in mu.items():
-        y, z = Y.setdefault((r, s), {}), Z.setdefault(r, {})
+        Y.setdefault((r, s), []).append((wn * n * t, vec))
         for m, (a, b) in vec.items():
-            pair_add_shifted(y, m, a, b, wn * n * t)
-            pair_add_shifted(z, m, a, b, wn * (s * n + t))
+            pair_add_shifted(Z.setdefault(r, {}), m, a, b, wn * (s * n + t))
     A, B, C, end = {}, {}, {}, (n - 1,) * 3
     for row in product(range(n), repeat=3):
         i1, i2, i3 = row
@@ -221,11 +223,13 @@ def _assoc_rows(n: int, middle: bool, mu: dict, a1: dict, a2: dict, d: int,
             t1 = pair_dot(x, A, d)
         if y:
             b = B.get(i1) or B.setdefault(i1, {})
-            for m in y:
-                if m not in b:
-                    b[m] = pair_pack(pair_trilinear(mu, c1, {m: PAIR_ONE},
-                                                    rows2, d), w)
-            t2 = pair_dot(y, b, d)
+            for shift, vec in y:
+                for m in vec:
+                    if m not in b:
+                        b[m] = pair_pack(pair_trilinear(
+                            mu, c1, {m: PAIR_ONE}, rows2, d), w)
+                pa, pb = pair_dot(vec, b, d)
+                t2 = t2[0] + (pa << shift), t2[1] + (pb << shift)
         if z:
             c = C.get((i1, i2)) or C.setdefault((i1, i2), {})
             for m in z:
@@ -250,9 +254,14 @@ def intertwining(laws, cap: int, basis: str = "e") -> Iterator[LawReport]:
     scaled by the other's before the two are compared, and a residual
     becomes scalars only when it is recorded.  dst with its first two slots
     filled by f1 e_i and f2 e_j is kept per (i, j) from first use.
+
+    A law whose tables ``(g, src, dst, maps)`` equal those of a law decided
+    earlier in this call, as the twist laws of equal twists do, takes that
+    law's violations, in a list of its own, and its ``truncated``.
     """
     seen = {}  # id -> the object, kept so that the id stays its own, and
     # its lift
+    decided = []  # (tables, report) of each law evaluated
 
     def lifted(obj):
         hit = seen.get(id(obj))
@@ -261,6 +270,13 @@ def intertwining(laws, cap: int, basis: str = "e") -> Iterator[LawReport]:
         return hit[1]
 
     for lr, g, src, dst, maps in laws:
+        tables = g, src, dst, maps
+        twin = next((done for key, done in decided if key == tables), None)
+        if twin is not None:
+            lr.violations, lr.truncated = list(twin.violations), twin.truncated
+            yield lr
+            continue
+        decided.append((tables, lr))
         parts = [lifted(table) for table in (g, src, dst, *maps)]
         d = reduce(join_radicands, {rad for rad, _ in parts})
         (dg, g_cols), (ds, s), (dt, t), *fs = [table for _, table in parts]

@@ -245,9 +245,11 @@ def compatibility_identity_check(bi: TernaryBialgebra,
                 alpha1[p][j] * alpha2[q][k] * y1sum[r] * alpha2[u][s]
         return total
 
-    # a head whose four terms all vanish has only zero residuals
-    indices = (head + tail for head in itertools.product(rng, repeat=6)
-               if any(head_terms(head))
+    # a head whose four terms all vanish has only zero residuals, as has
+    # every head whose (r, s, t) no coproduct holds
+    supports = sorted(set().union(*co.delta.values()))
+    indices = (ijk + rst + tail for ijk in itertools.product(rng, repeat=3)
+               for rst in supports if any(head_terms(ijk + rst))
                for tail in itertools.product(rng, repeat=4))
     lr = LawReport("compat:constants", "cp4")
     check_laws([lr], [itself], indices, residual, str, max_violations)

@@ -6,10 +6,10 @@ in ``Delta(e_l)``.  Twist endomorphisms ``alpha1`` and ``alpha2`` follow
 the same column convention as everywhere else.
 
 The normative coassociativity checker works at the level of maps: for each
-``l`` it packs the three patterns ``(Delta x a1 x a2) Delta(e_l)`` and
-friends, rank-5 tensors, into Python ints, which ``report.check_packed``
-compares whole.  The index-level identities are provided as an
-independent second encoding and are evaluated exactly as displayed;
+``l`` and ``i`` it packs the three patterns ``(Delta x a1 x a2) Delta(e_l)``
+and friends, rank-5 tensors, at first index ``i`` into Python ints, which
+``report.check_packed`` compares whole.  The index-level identities, an
+independent second encoding, are evaluated exactly as displayed;
 disagreement between the two encodings is reported, never reconciled.
 """
 
@@ -51,6 +51,8 @@ Tensor3 = dict  # dict[tuple[int, int, int], QuadScalar]
 class TernaryHomCoalgebra:
     def __init__(self, dim: int, delta: DeltaTensor, alpha1: Matrix,
                  alpha2: Matrix, radicand: int = 1):
+        mat_check_size(alpha1, dim)
+        mat_check_size(alpha2, dim)
         self.dim = dim
         self.delta = drop_zeros(delta)
         self.alpha1 = alpha1
@@ -74,23 +76,30 @@ class TernaryHomCoalgebra:
     def check_coassociativity(self, mode: str = "total",
                               max_violations: int = DEFAULT_MAX_VIOLATIONS
                               ) -> Report:
-        n = self.dim
+        n, nn = self.dim, self.dim ** 2
+        # slot ((j n + k) n + q) n + p of row (l, i) is (l, i, j, k, q, p)
         return check_packed("coassoc", ("ct1a", "ct1b", "cq1", "cw1"), mode,
                             (self.delta, self._alpha1_cols, self._alpha2_cols),
                             partial(_coassoc_rows, n), 1,
-                            lambda l, slot: _key(l, slot, n),
+                            lambda row, slot: (*row, *divmod(slot // nn, n),
+                                               *divmod(slot % nn, n)),
                             lambda res: str(res[0]), max_violations)
 
     # -- comultiplicativity ----------------------------------------------
 
     def check_comultiplicativity(self, max_violations: int = DEFAULT_MAX_VIOLATIONS
                                  ) -> Report:
-        return Report([
-            _comorphism_defects(LawReport(name, tag), self, cols, self,
+        first, second = (LawReport(f"comultiplicative:alpha{k}", f"comult{k}")
+                         for k in (1, 2))
+        _comorphism_defects(first, self, self._alpha1_cols, self,
+                            max_violations)
+        if self._alpha2_cols == self._alpha1_cols:  # as in ``intertwining``
+            second.violations, second.truncated = list(first.violations), \
+                first.truncated
+        else:
+            _comorphism_defects(second, self, self._alpha2_cols, self,
                                 max_violations)
-            for name, tag, cols in (
-                ("comultiplicative:alpha1", "comult1", self._alpha1_cols),
-                ("comultiplicative:alpha2", "comult2", self._alpha2_cols))])
+        return Report([first, second])
 
     # -- index-level identities ------------------------------------------
 
@@ -134,53 +143,61 @@ class TernaryHomCoalgebra:
 
 
 def _coassoc_rows(n: int, delta: dict, a1: dict, a2: dict, d: int, w: int):
-    """The rows l of ``check_coassociativity`` for ``report.check_packed``;
-    ``delta``, ``a1`` and ``a2`` are the lifted tables.
+    """The rows (l, i) of ``check_coassociativity`` for
+    ``report.check_packed``, each built when it is reached; ``delta``,
+    ``a1`` and ``a2`` are the lifted tables.
 
-    Row l packs the three patterns applied to Delta(e_l) over
-    (i, j, k, q, p) with ``w``-bit slots, and its space is the tuples where
-    some pattern is nonzero.  Each pattern puts Delta in one slot and the
-    twists in the other two; it is built from Delta(e_r) packed at stride
-    n^2, n or 1, one copy moved up by (q, p) for each term of Delta(e_l)
-    and each entry q, p of the two twist columns.
+    Row (l, i) packs the three patterns applied to Delta(e_l) over
+    (j, k, q, p) with ``w``-bit slots, and its space is the tuples where
+    some pattern is nonzero.  Each term of Delta(e_l) adds, for each entry
+    of the twist columns it reads, a packed Delta(e_r) moved up by those
+    entries' indices:
+
+    - pattern 0: Delta(e_r)'s i part over (j, k), a1 e_s at q, a2 e_t at p;
+    - pattern 1: a1 e_r at i, Delta(e_s) over (j, k, q), a2 e_t at p;
+    - pattern 2: a1 e_r at i, a2 e_s at j, Delta(e_t) over (k, q, p).
     """
-    if not delta:
-        return  # every pattern of every row is empty
     nn, n3 = n * n, n ** 3
-    # pattern m: stride of Delta's (i, j, k), then where q and p go
-    layouts = ((nn, n, 1), (n, n3 * n, 1), (1, n3 * n, n3))
-    packed = ({}, {}, {})  # Delta(e_r) at each pattern's stride
+    packed = {}  # Delta(e_r) as patterns 0 (by first index), 1 and 2 read it
+    none = {}, None, None
     for l in range(n):
         entries = delta.get(l)
         if not entries:
             continue
-        ints = [0] * 6  # a and b of each pattern
-        for (r, s, t), (ca, cb) in entries.items():
-            for m, inner, x, y in ((0, r, a1[s], a2[t]), (1, s, a1[r], a2[t]),
-                                   (2, t, a1[r], a2[s])):
-                if inner not in delta:
-                    continue
-                stride, qs, ps = layouts[m]
-                va, vb = packed[m].get(inner) or packed[m].setdefault(
-                    inner, pair_pack({((i * n + j) * n + k) * stride: ab
-                                      for (i, j, k), ab
-                                      in delta[inner].items()}, w))
-                for q, (qa, qb) in x.items():
-                    xa, xb = ca * qa + d * cb * qb, ca * qb + cb * qa
-                    for p, (pa, pb) in y.items():
-                        ya, yb = xa * pa + d * xb * pb, xa * pb + xb * pa
-                        shift = w * (q * qs + p * ps)
-                        ints[2 * m] += (ya * va + d * yb * vb) << shift
-                        ints[2 * m + 1] += (ya * vb + yb * va) << shift
-        if any(ints):
-            yield l, tuple(zip(ints[::2], ints[1::2])), ints
-
-
-def _key(l: int, slot: int, n: int) -> tuple:
-    """The index tuple (l, i, j, k, q, p) of a slot of a packed pattern."""
-    ijk, qp = divmod(slot, n * n)
-    ij, k = divmod(ijk, n)
-    return (l, *divmod(ij, n), k, *divmod(qp, n))
+        terms = []
+        for (r, s, t), c in entries.items():
+            for inner in (r, s, t):
+                if inner not in packed and inner in delta:
+                    flat, parts = {}, {}
+                    for (i, j, k), ab in delta[inner].items():
+                        flat[(i * n + j) * n + k] = \
+                            parts.setdefault(i, {})[j * n + k] = ab
+                    packed[inner] = (
+                        {i: pair_pack(v, w * nn) for i, v in parts.items()},
+                        pair_pack(flat, w * n), pair_pack(flat, w))
+            terms.append((c, packed.get(r, none)[0], a1[r], a1[s].items(),
+                          a2[t], packed.get(s, none)[1], a2[s],
+                          packed.get(t, none)[2]))
+        for i in range(n):
+            ints = [0] * 6  # a and b of each pattern
+            for (ca, cb), parts, a1r, a1s, a2t, v1, a2s, v2 in terms:
+                x = a1r.get(i)
+                # pattern, packed Delta, twist entries q and p, step of p
+                for m, v, xs, ys, step in ((0, parts.get(i), a1s, a2t, 1),
+                                           (1, x and v1, ((0, x),), a2t, 1),
+                                           (2, x and v2, ((0, x),), a2s, n3)):
+                    if not v:
+                        continue
+                    va, vb = v
+                    for q, (qa, qb) in xs:
+                        xa, xb = ca * qa + d * cb * qb, ca * qb + cb * qa
+                        for p, (pa, pb) in ys.items():
+                            ya, yb = xa * pa + d * xb * pb, xa * pb + xb * pa
+                            shift = w * (q * n + p * step)
+                            ints[2 * m] += (ya * va + d * yb * vb) << shift
+                            ints[2 * m + 1] += (ya * vb + yb * va) << shift
+            if any(ints):
+                yield (l, i), tuple(zip(ints[::2], ints[1::2])), ints
 
 
 def comorphism_laws(f: Matrix, c1: TernaryHomCoalgebra,

@@ -23,6 +23,7 @@ from .linalg import (
     Matrix,
     SparseVec,
     mat_block_diag,
+    mat_check_size,
     mat_columns,
     trilinear,
 )
@@ -51,6 +52,10 @@ class BihomModule:
     dim: int
     beta1: Matrix
     beta2: Matrix
+
+    def __post_init__(self):
+        mat_check_size(self.beta1, self.dim)
+        mat_check_size(self.beta2, self.dim)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from ternalg.algebra import (
     classical,
     is_algebra_isomorphism,
 )
+from ternalg.coalgebra import TernaryHomCoalgebra
 from ternalg.linalg import (
     drop_zeros,
     mat_apply,
@@ -34,6 +35,7 @@ from ternalg.report import (
     vec_str,
 )
 from ternalg.scalars import QuadScalar, RadicandMismatch
+from ternalg.trimodule import BihomModule
 
 
 def q(x):
@@ -267,6 +269,23 @@ OTHER_SIZES = {"1": mat_identity(1), "3": mat_identity(3),
 def test_map_of_another_size_is_refused(call, f):
     with pytest.raises(ValueError, match="^dimension mismatch$"):
         call(nilp(), f)
+
+
+@pytest.mark.parametrize("make", [
+    lambda f, i: TernaryHomAlgebra(2, {}, f, i),
+    lambda f, i: TernaryHomAlgebra(2, {}, i, f),
+    lambda f, i: TernaryHomCoalgebra(2, {}, f, i),
+    lambda f, i: TernaryHomCoalgebra(2, {}, i, f),
+    lambda f, i: BihomModule(2, f, i),
+    lambda f, i: BihomModule(2, i, f),
+], ids=["algebra-alpha1", "algebra-alpha2", "coalgebra-alpha1",
+        "coalgebra-alpha2", "module-beta1", "module-beta2"])
+@pytest.mark.parametrize("f", OTHER_SIZES.values(), ids=OTHER_SIZES.keys())
+def test_twist_of_another_size_is_refused(make, f):
+    # a checker would index such a twist past its end, or pass a law it
+    # never evaluated at the basis vectors the twist leaves out
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        make(f, mat_identity(2))
 
 
 def refuse(*args):

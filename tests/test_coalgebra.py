@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from ternalg.algebra import TernaryHomAlgebra
+from ternalg.algebra import TernaryHomAlgebra, classical
 from ternalg.coalgebra import (
     TernaryHomCoalgebra,
     check_coalgebra_morphism,
@@ -221,9 +221,11 @@ def reference_patterns(c):
     return patterns
 
 
-def reference_coassociativity(c, mode, cap):
-    """check_coassociativity on the patterns of ``reference_patterns``."""
-    patterns = reference_patterns(c)
+def reference_coassociativity(c, mode, cap, patterns=None):
+    """check_coassociativity on the patterns of ``reference_patterns``,
+    or on ``patterns`` where they are given."""
+    if patterns is None:
+        patterns = reference_patterns(c)
     indices = [(l,) + key for l, u in enumerate(patterns)
                for key in sorted(set().union(*u))]
     laws = mode_laws("coassoc", ("ct1a", "ct1b", "cq1", "cw1"), mode)
@@ -235,15 +237,16 @@ def reference_coassociativity(c, mode, cap):
 
 
 def assert_matches_reference(c):
+    patterns = reference_patterns(c)
     for mode in ("total", "partial", "weak"):
-        for cap in stop_points(
-                lambda: reference_coassociativity(c, mode, UNLIMITED), c.dim):
+        for cap in stop_points(lambda: reference_coassociativity(
+                c, mode, UNLIMITED, patterns), c.dim):
             assert c.check_coassociativity(mode, cap).as_dict() == \
-                reference_coassociativity(c, mode, cap).as_dict()
+                reference_coassociativity(c, mode, cap, patterns).as_dict()
 
 
 @pytest.mark.parametrize("radicand", [1, 2, 5])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_coassociativity_matches_quadscalar_reference(n, radicand):
     rng = random.Random(f"coassoc-{n}-{radicand}")
     for a in differential_structures(rng, n, radicand):
@@ -279,6 +282,38 @@ def test_coassociativity_of_the_dual_is_associativity_entry_by_entry(
                             for l, c in _entries(v.residual).items()}
                 assert {v.index: v.residual
                         for v in co.violations} == expected
+
+
+def matrix_algebra(k):
+    """M_k: mu(x, y, z) = xyz on the matrix units e_ab = e_(a k + b), with
+    identity twists."""
+    return classical(k * k, {(a * k + b, b * k + c, c * k + d):
+                             {a * k + d: q(1)}
+                             for a, b, c, d in product(range(k), repeat=4)})
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_coassociativity_of_a_matrix_dual_is_associativity_at_scale(k):
+    # M_4's dual has dim 16, so a row over all (i, j, k, q, p) of an l
+    # would hold 16^5 slots; capped reports keep the first violations of
+    # each law in the order (l, i, j, k, q, p)
+    exact = matrix_algebra(k)
+    mu = {key: dict(vec) for key, vec in exact.mu.items()}
+    mu[0, 0, 0] = {0: q(2)}  # e_11 e_11 e_11 = 2 e_11
+    for a in (exact, classical(k * k, mu)):
+        entries = [sorted(((l, *v.index), c) for v in lr.violations
+                          for l, c in _entries(v.residual).items())
+                   for lr in a.check_associativity("total", UNLIMITED).laws]
+        dual = dualize_algebra(a)
+        for cap in (1, 2, 10, UNLIMITED):
+            coassoc = dual.check_coassociativity("total", cap)
+            assert coassoc.passed == a.check_associativity("total",
+                                                           cap).passed
+            for expected, co in zip(entries, coassoc.laws, strict=True):
+                assert [(v.index, v.residual) for v in co.violations] == \
+                    expected[:cap]
+                assert co.truncated or len(expected) <= cap
+        assert a is exact or not coassoc.passed
 
 
 def test_coassociativity_takes_the_radicand_from_the_constants():

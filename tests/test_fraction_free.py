@@ -16,10 +16,15 @@ from collections import Counter
 import pytest
 
 from ternalg import scalars
-from ternalg.algebra import NotEndomorphism, check_algebra_morphism, classical
+from ternalg.algebra import (
+    NotEndomorphism,
+    TernaryHomAlgebra,
+    check_algebra_morphism,
+    classical,
+)
 from ternalg.bialgebra import bialgebra, check_compatibility
 from ternalg.linalg import mat_inverse, mat_mul
-from ternalg.report import Report
+from ternalg.report import LawReport, Report
 from ternalg.scalars import QuadScalar
 
 from test_algebra import (
@@ -28,6 +33,7 @@ from test_algebra import (
     _intertwining_structures,
     _transport,
     sixths_matrix,
+    sixths_tensor,
 )
 from test_bialgebra import pb2, sixths_bialgebras, transport_bialgebra
 
@@ -60,9 +66,11 @@ def ops(monkeypatch):
 
 
 def recorded_entries(report) -> int:
-    """The scalars in the residuals of ``report``, one per ``key: value``."""
-    return sum(v.residual.count(": ") for lr in report.laws
-               for v in lr.violations)
+    """The scalars in the residuals of ``report``, one per ``key: value``,
+    each ``Violation`` counted once: a twin law shares those of the law
+    it copies."""
+    unique = {id(v): v for lr in report.laws for v in lr.violations}
+    return sum(v.residual.count(": ") for v in unique.values())
 
 
 def q(x):
@@ -170,3 +178,36 @@ def test_yau_twist_probe_does_no_scalar_arithmetic(ops, monkeypatch):
         c.yau_twist(rho)
     assert not any(ops[op] for op in ARITHMETIC)
     assert ops["made"] == recorded_entries(Report([probes[-1]])) > 0
+
+
+def test_a_twin_law_lifts_nothing_and_makes_no_scalar(ops, monkeypatch):
+    """With alpha1 = alpha2 the second multiplicativity law compares the
+    tables of the first, so it takes the first law's violations: between
+    the two laws nothing is lifted and no scalar is made or added."""
+    lifted = []
+    real_lift = algebra_mod.lift
+    monkeypatch.setattr(algebra_mod, "lift",
+                        lambda table: lifted.append(table) or real_lift(table))
+    rng = random.Random("fraction-free-twin")
+    twist = sixths_matrix(rng, 3, 5)
+    for second in (twist, [row[:] for row in twist]):
+        a = TernaryHomAlgebra(3, sixths_tensor(rng, (3,) * 3, 3, 5), twist,
+                              second, 5)
+        for cap in (1, 3, UNLIMITED):
+            laws = algebra_mod.intertwining(
+                [(LawReport(f"mult{k}", f"mult{k}"), cols, a.mu, a.mu,
+                  (cols,) * 3) for k, cols in
+                 enumerate((a._alpha1_cols, a._alpha2_cols))], cap)
+            ops.clear()
+            first = next(laws)
+            assert not first.passed and lifted
+            assert ops["made"] == recorded_entries(Report([first]))
+            ops.clear()
+            lifted.clear()
+            twin = next(laws)
+            assert not any(ops.values()) and not lifted
+            assert twin.violations == first.violations
+            assert twin.truncated == first.truncated
+    # and a whole check records each shared violation's scalars once
+    assert not assert_fraction_free(
+        ops, lambda: a.check_multiplicativity(UNLIMITED)).passed
